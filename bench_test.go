@@ -295,28 +295,6 @@ func BenchmarkParallelScaling(b *testing.B) {
 
 // --- Ablations ------------------------------------------------------------
 
-// BenchmarkAblationReadSet compares the paper's §4.5 lazy read-from
-// search against eagerly materializing the full Algorithm 3 set: same
-// exploration, different per-load cost.
-func BenchmarkAblationReadSet(b *testing.B) {
-	prog := recipe.Program(harness.Benchmarks[0], harness.Table5Config())
-	b.Run("lazy", func(b *testing.B) { exploreOnce(b, cxlmc.Config{}, prog) })
-	b.Run("eager", func(b *testing.B) { exploreOnce(b, cxlmc.Config{EagerReadSet: true}, prog) })
-}
-
-// BenchmarkAblationCommitChance sweeps the store-buffer drain bias: the
-// knob controlling how long TSO reorder windows stay open in the fixed
-// schedule.
-func BenchmarkAblationCommitChance(b *testing.B) {
-	prog := recipe.Program(harness.Benchmarks[0], harness.Table5Config())
-	for _, chance := range []int{10, 25, 50, 75} {
-		chance := chance
-		b.Run(fmt.Sprintf("chance%02d", chance), func(b *testing.B) {
-			exploreOnce(b, cxlmc.Config{CommitChance: chance}, prog)
-		})
-	}
-}
-
 // BenchmarkAblationSeeds runs the same fixed benchmark under several
 // schedules (§4.6 fuzzing mode): exploration size varies with the seed,
 // soundness does not.

@@ -53,7 +53,7 @@
 // are portable across -workers counts), Ctrl-C or SIGTERM stops
 // gracefully at the next execution boundary (writing a final
 // checkpoint), and -replay re-runs the single execution a reported
-// bug's repro token witnessed, with tracing on.
+// bug's repro token witnessed, printing the trace that led to the bug.
 //
 // Resource governance: -mem-budget caps the exploration's heap — over
 // budget, pooled state is released, cold frontier units spill to
@@ -318,7 +318,7 @@ func run() int {
 		Reduction: reductionSw, PrefixFork: prefixForkSw, RaceDetect: raceDetectSw,
 	}
 	if *trace {
-		cfg.Trace = os.Stdout
+		cfg.Observer = cxlmc.TraceWriter(os.Stdout)
 	}
 	cfg.ContinueAfterBug = *contBug
 	if *chaosOn {

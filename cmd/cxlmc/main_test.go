@@ -67,6 +67,32 @@ func TestVetGolden(t *testing.T) {
 	}
 }
 
+// TestTraceGolden pins the -trace text of one CCEH execution. The
+// cxlvet pre-pass that -race-detect on runs first replaces the trace
+// observer with its own, so its dry run must not reach stdout: both
+// settings print the same golden, apart from the timing line.
+func TestTraceGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/cceh_trace.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, race := range []string{"off", "on"} {
+		out, code := runCLI(t, "-bench", "CCEH", "-keys", "2", "-trace", "-max-execs", "1", "-race-detect", race)
+		var got strings.Builder
+		for _, line := range strings.SplitAfter(out, "\n") {
+			if !strings.HasPrefix(line, "time ") {
+				got.WriteString(line)
+			}
+		}
+		if got.String() != string(want) {
+			t.Errorf("-race-detect %s: -trace output differs from testdata/cceh_trace.golden:\ngot:\n%s\nwant:\n%s", race, got.String(), want)
+		}
+		if code != 0 {
+			t.Errorf("-race-detect %s: exit %d, want 0", race, code)
+		}
+	}
+}
+
 // TestVetCleanExitsZero: a clean program produces the zero-findings
 // summary line and exit code 0 (checked in-process via the same helper
 // main dispatches to).

@@ -59,6 +59,9 @@
 package cxlmc
 
 import (
+	"fmt"
+	"io"
+
 	"repro/internal/analyze"
 	"repro/internal/chaos"
 	"repro/internal/core"
@@ -72,7 +75,7 @@ type Config = core.Config
 
 // Switch is a three-valued on/off knob whose zero value means "use the
 // default" — used by Config.Reduction and Config.PrefixFork, both of
-// which default to on.
+// which default to on, and Config.RaceDetect, which defaults to off.
 type Switch = core.Switch
 
 // Switch values.
@@ -199,7 +202,9 @@ type InternalError = core.InternalError
 
 // Run explores the crashing executions of the program built by setup and
 // returns the bugs found together with exploration statistics. setup is
-// invoked once per execution.
+// invoked once per execution; with Config.Workers > 1, setup and the
+// thread bodies of different executions run concurrently, so state they
+// share outside simulated memory needs synchronization.
 //
 // Long runs can be made resilient: Config.CheckpointPath persists
 // progress crash-safely and resumes transparently, Config.Stop requests
@@ -210,13 +215,31 @@ func Run(cfg Config, setup func(*Program)) (*Result, error) {
 	return core.Run(cfg, setup)
 }
 
-// Replay re-runs exactly the execution a Bug's ReproToken witnessed,
-// with CaptureTrace forced on, and returns that single execution's
-// result. The token pins the seed and is validated against the
-// configuration and the program's structure; a mismatch is rejected with
-// a descriptive error.
+// Replay re-runs exactly the execution a Bug's ReproToken witnessed and
+// returns that single execution's result, each bug carrying the last 256
+// trace lines that led to it in Bug.Trace. The token pins the seed and is
+// validated against the configuration and the program's structure; a
+// mismatch is rejected with a descriptive error.
 func Replay(token string, cfg Config, setup func(*Program)) (*Result, error) {
 	return core.Replay(token, cfg, setup)
+}
+
+// OpObserver receives a run's op stream (Config.Observer).
+type OpObserver = core.OpObserver
+
+// OpEvent is one observed operation.
+type OpEvent = core.OpEvent
+
+// TraceWriter returns an observer printing each event's TraceLine to w,
+// the cxlmc -trace output. Like any Observer it serializes the run.
+func TraceWriter(w io.Writer) OpObserver { return traceWriter{w} }
+
+type traceWriter struct{ w io.Writer }
+
+func (t traceWriter) Op(ev OpEvent) {
+	if line := ev.TraceLine(); line != "" {
+		fmt.Fprintln(t.w, line)
+	}
 }
 
 // VetReport is the outcome of the cxlvet static pre-pass: the findings

@@ -1,12 +1,12 @@
 package cxlmc_test
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	cxlmc "repro"
+	"repro/internal/proptest"
 )
 
 func mustRun(t *testing.T, cfg cxlmc.Config, prog func(*cxlmc.Program)) *cxlmc.Result {
@@ -231,12 +231,12 @@ func TestBrokenCopyOnWriteDetected(t *testing.T) {
 func TestPropertyGPFObservationsSubset(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 25; trial++ {
-		prog, observe := randomProgram(rng.Int63())
-		plain := map[string]bool{}
-		gpf := map[string]bool{}
-		mustRun(t, cxlmc.Config{}, prog(plain, observe))
-		mustRun(t, cxlmc.Config{GPF: true}, prog(gpf, observe))
-		for o := range gpf {
+		seed := rng.Int63()
+		var plainObs, gpfObs proptest.Observations
+		mustRun(t, cxlmc.Config{}, proptest.Program(seed, &plainObs))
+		mustRun(t, cxlmc.Config{GPF: true}, proptest.Program(seed, &gpfObs))
+		plain := plainObs.Set()
+		for o := range gpfObs.Set() {
 			if !plain[o] {
 				t.Fatalf("trial %d: observation %q reachable under GPF but not without", trial, o)
 			}
@@ -248,33 +248,12 @@ func TestPropertyGPFObservationsSubset(t *testing.T) {
 func TestPropertyDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
-		prog, observe := randomProgram(rng.Int63())
-		a := map[string]bool{}
-		b := map[string]bool{}
-		ra := mustRun(t, cxlmc.Config{Seed: 3}, prog(a, observe))
-		rb := mustRun(t, cxlmc.Config{Seed: 3}, prog(b, observe))
-		if ra.Executions != rb.Executions || !reflect.DeepEqual(a, b) {
+		seed := rng.Int63()
+		var a, b proptest.Observations
+		ra := mustRun(t, cxlmc.Config{Seed: 3}, proptest.Program(seed, &a))
+		rb := mustRun(t, cxlmc.Config{Seed: 3}, proptest.Program(seed, &b))
+		if ra.Executions != rb.Executions || !reflect.DeepEqual(a.Set(), b.Set()) {
 			t.Fatalf("trial %d: non-deterministic exploration (%d vs %d execs)", trial, ra.Executions, rb.Executions)
-		}
-	}
-}
-
-// TestPropertyLazyEagerEquivalent: the §4.5 lazy search and the eager
-// Algorithm 3 set produce identical observation sets and execution
-// counts.
-func TestPropertyLazyEagerEquivalent(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 25; trial++ {
-		prog, observe := randomProgram(rng.Int63())
-		lazy := map[string]bool{}
-		eager := map[string]bool{}
-		rl := mustRun(t, cxlmc.Config{}, prog(lazy, observe))
-		re := mustRun(t, cxlmc.Config{EagerReadSet: true}, prog(eager, observe))
-		if !reflect.DeepEqual(lazy, eager) {
-			t.Fatalf("trial %d: lazy %v vs eager %v", trial, lazy, eager)
-		}
-		if rl.Executions != re.Executions {
-			t.Fatalf("trial %d: lazy %d execs vs eager %d", trial, rl.Executions, re.Executions)
 		}
 	}
 }
@@ -289,7 +268,7 @@ func TestPropertyConsecutiveLoadsAgree(t *testing.T) {
 			a := p.NewMachine("A")
 			b := p.NewMachine("B")
 			base := p.AllocAligned(128, 64)
-			writer := randomWriter(seed, base)
+			writer := proptest.Writer(seed, base)
 			a.Thread("w", writer)
 			b.Thread("r", func(th *cxlmc.Thread) {
 				th.Join(a)
@@ -304,55 +283,6 @@ func TestPropertyConsecutiveLoadsAgree(t *testing.T) {
 			t.Fatalf("trial %d (seed %d): %v", trial, seed, res.Bugs)
 		}
 	}
-}
-
-// randomWriter emits a deterministic pseudo-random sequence of stores,
-// flushes and fences over [base, base+128).
-func randomWriter(seed int64, base cxlmc.Addr) func(*cxlmc.Thread) {
-	return func(th *cxlmc.Thread) {
-		rng := rand.New(rand.NewSource(seed))
-		for i := 0; i < 12; i++ {
-			a := base + cxlmc.Addr(rng.Intn(4)*32)
-			switch rng.Intn(6) {
-			case 0:
-				th.CLFlush(a)
-			case 1:
-				th.CLFlushOpt(a)
-				th.SFence()
-			case 2:
-				th.SFence()
-			case 3:
-				th.MFence()
-			default:
-				th.Store64(a, uint64(rng.Intn(50)+1))
-			}
-		}
-		th.MFence()
-	}
-}
-
-// randomProgram builds a two-machine program with a seeded random writer
-// and an observer that records what it reads into the provided set.
-func randomProgram(seed int64) (func(map[string]bool, int) func(*cxlmc.Program), int) {
-	return func(sink map[string]bool, _ int) func(*cxlmc.Program) {
-		return func(p *cxlmc.Program) {
-			a := p.NewMachine("A")
-			b := p.NewMachine("B")
-			base := p.AllocAligned(128, 64)
-			a.Thread("w", randomWriter(seed, base))
-			b.Thread("r", func(th *cxlmc.Thread) {
-				th.Join(a)
-				obs := ""
-				for off := cxlmc.Addr(0); off < 128; off += 32 {
-					obs += fmt.Sprintf("%d,", th.Load64(base+off))
-				}
-				if a.Failed() {
-					obs += "F"
-				}
-				sink[obs] = true
-			})
-		}
-	}, 0
 }
 
 // TestPropertyCompletenessDroppedFlush is a constructive completeness
@@ -409,32 +339,6 @@ func TestPropertyCompletenessDroppedFlush(t *testing.T) {
 		if !res.Buggy() {
 			t.Fatalf("dropped flush of record %d not detected", i)
 		}
-	}
-}
-
-// TestPropertyCompletenessDroppedFlushEager repeats the sweep under the
-// eager Algorithm 3 read path.
-func TestPropertyCompletenessDroppedFlushEager(t *testing.T) {
-	res := mustRun(t, cxlmc.Config{EagerReadSet: true}, func(p *cxlmc.Program) {
-		a := p.NewMachine("A")
-		b := p.NewMachine("B")
-		data := p.Alloc(8)
-		flag := p.AllocAligned(8, 64)
-		a.Thread("w", func(th *cxlmc.Thread) {
-			th.Store64(data, 42)
-			th.Store64(flag, 1)
-			th.CLFlush(flag)
-			th.SFence()
-		})
-		b.Thread("r", func(th *cxlmc.Thread) {
-			th.Join(a)
-			if th.Load64(flag) == 1 {
-				th.Assert(th.Load64(data) == 42, "lost")
-			}
-		})
-	})
-	if !res.Buggy() {
-		t.Fatal("eager path missed the dropped flush")
 	}
 }
 

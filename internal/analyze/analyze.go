@@ -84,7 +84,8 @@ type Finding struct {
 type Report struct {
 	// Findings is stably ordered: by kind, then message.
 	Findings []Finding
-	// Events is the length of the observed op stream (diagnostic).
+	// Events is the length of the recorded op-stream skeleton
+	// (diagnostic).
 	Events int
 }
 
@@ -119,12 +120,17 @@ func (r *Report) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "cxlvet: %d finding(s)\n", len(r.Findings))
 }
 
-// recorder collects the dry run's op stream.
+// recorder collects the skeleton of the dry run's op stream; the effect
+// events (commits, RMW halves, failures, bug reports) are not linted.
 type recorder struct {
 	events []core.OpEvent
 }
 
-func (r *recorder) Op(ev core.OpEvent) { r.events = append(r.events, ev) }
+func (r *recorder) Op(ev core.OpEvent) {
+	if ev.Kind.Skeleton() {
+		r.events = append(r.events, ev)
+	}
+}
 
 // Vet runs the cxlvet static pre-pass: one instrumented dry run of
 // program under cfg's exploration-relevant knobs (seed, GPF, Poison,
@@ -132,11 +138,11 @@ func (r *recorder) Op(ev core.OpEvent) { r.events = append(r.events, ev) }
 // stream. The dry run takes decision branch 0 everywhere, so no
 // failures are injected and the stream is the program's failure-free
 // skeleton. cfg is taken by value; the observer, worker-pool and
-// persistence knobs it carries are overridden for the dry run.
+// persistence knobs it carries are overridden for the dry run — a
+// caller's Observer (a -trace writer, say) is replaced, not fed.
 func Vet(cfg core.Config, program func(*core.Program)) (*Report, error) {
 	rec := &recorder{}
-	cfg.Observer = rec
-	cfg.Workers = 1
+	cfg.Observer = rec // forces Workers to 1
 	cfg.MaxExecutions = 1
 	cfg.MaxTime = 0
 	// One execution, no exploration: the detector, the frontier and all

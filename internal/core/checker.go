@@ -62,13 +62,6 @@ type Checker struct {
 	current  *Thread // thread holding the baton, nil in scheduler context
 	aborted  bool    // current execution ended early (bug)
 	poisoned map[memmodel.LineID]bool
-	// traceLog is the current execution's event ring when CaptureTrace
-	// is on.
-	traceLog []string
-	// tracing caches "is any tracing sink configured", so hot-path call
-	// sites can skip the variadic tracef call (and its argument boxing)
-	// entirely.
-	tracing bool
 	// dirty quarantines reusable state after a watchdog abandoned a
 	// thread: the wedged goroutine may still hold references into the
 	// scheduler, arenas and memory, so the next reset discards them all
@@ -97,9 +90,9 @@ type Checker struct {
 
 	// Happens-before race detection (Config.RaceDetect) and op-stream
 	// observation (Config.Observer). race is pooled across executions;
-	// inRMW suppresses the plain-load race check and load observation
-	// while rmw's internal load runs (the RMW itself is reported as one
-	// synchronization op); observing caches Observer != nil.
+	// inRMW suppresses the plain-load race check while rmw's internal
+	// load runs (the RMW itself is one synchronization op) and reports
+	// that load as OpRMWLoad; observing caches Observer != nil.
 	race      raceDetector
 	inRMW     bool
 	observing bool
@@ -159,7 +152,9 @@ type loadRec struct {
 //
 // With Config.Workers > 1, independent subtrees of the decision tree are
 // explored concurrently by work-stealing workers, each owning a private
-// Checker; see engine in parallel.go. Serial runs go through the same
+// Checker (see engine in parallel.go): program and the thread bodies it
+// creates then run concurrently across executions, so state they share
+// outside simulated memory must be synchronized by the caller. Serial runs go through the same
 // engine with a single worker, so there is exactly one exploration loop.
 //
 // With Config.CheckpointPath set, Run resumes transparently from an
@@ -270,8 +265,7 @@ func (ck *Checker) resetExecution() {
 			clear(ck.poisoned)
 		}
 	}
-	ck.traceLog = ck.traceLog[:0]
-	ck.tracing = ck.cfg.Trace != nil || ck.cfg.CaptureTrace
+	ck.observing = ck.cfg.Observer != nil
 
 	defer func() {
 		if v := recover(); v != nil {
@@ -282,7 +276,6 @@ func (ck *Checker) resetExecution() {
 	ck.program(&ck.prog)
 
 	// Detector state sizes to the threads and mutexes setup just created.
-	ck.observing = ck.cfg.Observer != nil
 	ck.inRMW = false
 	if ck.cfg.raceDetectOn() {
 		if ck.race.flagged == nil && len(ck.cfg.UnflushedLines) > 0 {
@@ -401,7 +394,7 @@ func (ck *Checker) runExecutionLoop() {
 			commit = false
 		default:
 			chance = true
-			commit = ck.rng.Intn(100) < ck.cfg.CommitChance
+			commit = ck.rng.Intn(100) < commitChance
 		}
 		if commit {
 			i := ck.rng.Intn(len(committable))
@@ -439,7 +432,7 @@ func (ck *Checker) runExecutionLoop() {
 // injection and pruning decision is recomputed exactly as recorded.
 func (ck *Checker) replayStep(rec stepRec) {
 	if rec.chance {
-		commit := ck.rng.Intn(100) < ck.cfg.CommitChance
+		commit := ck.rng.Intn(100) < commitChance
 		if commit != (rec.op != opGrant) {
 			internalPanic("prefix-fork: commit-chance draw diverged from the recorded prefix")
 		}
@@ -651,7 +644,9 @@ func (ck *Checker) failMachine(m *Machine, why string) {
 	}
 	m.failed = true
 	ck.failed = ck.failed.With(m.id)
-	ck.tracef("FAIL machine %s: %s", m.name, why)
+	if ck.observing {
+		ck.observe(nil, OpEvent{Kind: OpFail, Machine: m.id, MachineName: m.name, Reason: why})
+	}
 	if ck.cfg.GPF {
 		ck.mem.PersistAll(m.id)
 	}
@@ -723,9 +718,6 @@ func (ck *Checker) reportBug(kind BugKind, msg string, t *Thread) {
 		b.Machine = t.mach.name
 		b.Thread = t.name
 	}
-	if ck.cfg.CaptureTrace {
-		b.Trace = append([]string(nil), ck.traceLog...)
-	}
 	if ck.progDigest != "" {
 		b.ReproToken = encodeReproToken(reproToken{
 			Seed:    ck.cfg.Seed,
@@ -735,7 +727,10 @@ func (ck *Checker) reportBug(kind BugKind, msg string, t *Thread) {
 		})
 	}
 	ck.bugs = append(ck.bugs, b)
-	ck.tracef("BUG %s", b)
+	if ck.observing {
+		reported := b
+		ck.observe(t, OpEvent{Kind: OpBug, Bug: &reported})
+	}
 }
 
 // reportBugHere reports a bug attributed to the currently running thread
@@ -746,22 +741,5 @@ func (ck *Checker) reportBugHere(kind BugKind, msg string) {
 	ck.reportBug(kind, msg, t)
 	if t != nil {
 		t.st.KillSelf()
-	}
-}
-
-func (ck *Checker) tracef(format string, args ...any) {
-	if !ck.tracing {
-		return
-	}
-	line := fmt.Sprintf("σ%-6d "+format, append([]any{ck.mem.Seq()}, args...)...)
-	if ck.cfg.Trace != nil {
-		fmt.Fprintln(ck.cfg.Trace, line)
-	}
-	if ck.cfg.CaptureTrace {
-		if len(ck.traceLog) >= ck.cfg.TraceDepth {
-			copy(ck.traceLog, ck.traceLog[1:])
-			ck.traceLog = ck.traceLog[:len(ck.traceLog)-1]
-		}
-		ck.traceLog = append(ck.traceLog, line)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -29,7 +28,8 @@ func TestEagerReadSetEquivalentDetection(t *testing.T) {
 		})
 	}
 	lazy := run(t, Config{}, prog)
-	eager := run(t, Config{EagerReadSet: true}, prog)
+	SetEagerReadSet(t, true)
+	eager := run(t, Config{}, prog)
 	if !lazy.Buggy() || !eager.Buggy() {
 		t.Fatalf("bug missed: lazy=%v eager=%v", lazy.Bugs, eager.Bugs)
 	}
@@ -41,8 +41,8 @@ func TestEagerReadSetEquivalentDetection(t *testing.T) {
 // TestTraceOutput smoke-checks the event trace: loads, stores, flush
 // commits and failures all appear.
 func TestTraceOutput(t *testing.T) {
-	var buf bytes.Buffer
-	_, err := Run(Config{Trace: &buf, MaxExecutions: 10}, func(p *Program) {
+	tr := &traceLines{}
+	_, err := Run(Config{Observer: tr, MaxExecutions: 10}, func(p *Program) {
 		a := p.NewMachine("A")
 		b := p.NewMachine("B")
 		x := p.Alloc(8)
@@ -59,7 +59,7 @@ func TestTraceOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
+	out := strings.Join(tr.lines, "\n")
 	for _, want := range []string{"exec store", "commit store", "commit clflush", "load [", "FAIL machine"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace missing %q", want)
@@ -227,7 +227,8 @@ func TestCommitChanceExtremes(t *testing.T) {
 		})
 	}
 	for _, chance := range []int{1, 99} {
-		res := run(t, Config{CommitChance: chance}, prog)
+		SetCommitChance(t, chance)
+		res := run(t, Config{}, prog)
 		if res.Buggy() {
 			t.Fatalf("chance %d: %v", chance, res.Bugs)
 		}
@@ -256,9 +257,10 @@ func TestStepLimitReportsLivelock(t *testing.T) {
 	}
 }
 
-// TestCaptureTrace attaches the buggy execution's events to the report.
+// TestCaptureTrace: replaying a bug's token attaches the buggy
+// execution's events to the report.
 func TestCaptureTrace(t *testing.T) {
-	res := run(t, Config{CaptureTrace: true, TraceDepth: 64}, func(p *Program) {
+	prog := func(p *Program) {
 		a := p.NewMachine("A")
 		b := p.NewMachine("B")
 		data := p.Alloc(8)
@@ -275,9 +277,17 @@ func TestCaptureTrace(t *testing.T) {
 				th.Assert(th.Load64(data) == 42, "lost data")
 			}
 		})
-	})
-	if !res.Buggy() {
+	}
+	found := run(t, Config{}, prog)
+	if !found.Buggy() {
 		t.Fatal("bug not found")
+	}
+	if found.Bugs[0].Trace != nil {
+		t.Fatal("exploration attached a trace; only Replay should")
+	}
+	res, err := Replay(found.Bugs[0].ReproToken, Config{}, prog)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(res.Bugs[0].Trace) == 0 {
 		t.Fatal("no trace captured")
@@ -286,7 +296,7 @@ func TestCaptureTrace(t *testing.T) {
 	if !strings.Contains(joined, "FAIL machine") {
 		t.Fatalf("trace lacks the failure event:\n%s", joined)
 	}
-	if len(res.Bugs[0].Trace) > 64 {
+	if len(res.Bugs[0].Trace) > traceDepth {
 		t.Fatalf("trace exceeds depth: %d", len(res.Bugs[0].Trace))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -97,6 +98,7 @@ func TestExhaustiveCrashStates(t *testing.T) {
 // states are exactly "nothing" or "everything".
 func TestCommitStorePattern(t *testing.T) {
 	type obs struct{ committed, data uint64 }
+	var mu sync.Mutex // executions run concurrently when Workers > 1
 	var seen []obs
 	res := run(t, Config{}, func(p *Program) {
 		a := p.NewMachine("A")
@@ -116,7 +118,9 @@ func TestCommitStorePattern(t *testing.T) {
 			th.Join(a)
 			c := th.Load64(committed)
 			d := th.Load64(data)
+			mu.Lock()
 			seen = append(seen, obs{c, d})
+			mu.Unlock()
 			if c == 1 {
 				th.Assert(d == 42, "committed flag set but data lost (c=%d d=%d)", c, d)
 			}
@@ -438,6 +442,7 @@ func TestTornMultiWordObjectObserved(t *testing.T) {
 func TestStraddlingStoreSplits(t *testing.T) {
 	// An 8-byte store straddling a cache-line boundary is not atomic with
 	// respect to crashes: one half can persist without the other.
+	var mu sync.Mutex // executions run concurrently when Workers > 1
 	halves := map[uint64]bool{}
 	res := run(t, Config{}, func(p *Program) {
 		a := p.NewMachine("A")
@@ -451,7 +456,10 @@ func TestStraddlingStoreSplits(t *testing.T) {
 		})
 		b.Thread("r", func(th *Thread) {
 			th.Join(a)
-			halves[th.Load64(obj)] = true
+			v := th.Load64(obj)
+			mu.Lock()
+			halves[v] = true
+			mu.Unlock()
 		})
 	})
 	if res.Buggy() {

@@ -80,7 +80,7 @@ const numDecisionKinds = 3
 
 // configDigest fingerprints the configuration fields that shape the
 // decision tree. Budget and reporting knobs (MaxExecutions, MaxTime,
-// Stop, checkpoint cadence, tracing, MemBudgetBytes/SpillDir, Chaos) are
+// Stop, checkpoint cadence, Observer, MemBudgetBytes/SpillDir, Chaos) are
 // deliberately excluded: resuming with a different budget — or without
 // the chaos that interrupted the original run — is the point of
 // checkpoints. MaxEventsPerExec is included because, like
@@ -93,11 +93,12 @@ const numDecisionKinds = 3
 // RaceDetect (and the UnflushedLines set it arms) is included: a race
 // report aborts its execution, so the detector changes the reachable
 // tree shape and a token recorded in one mode must not replay in the
-// other. The seed is checked separately for a clearer error message.
+// other. commit and eager print the test hooks (25 and false in real
+// runs). The seed is checked separately for a clearer error message.
 func configDigest(cfg Config) string {
 	h := sha256.Sum256([]byte(fmt.Sprintf(
 		"cxlmc-config-v4 gpf=%t poison=%t maxsteps=%d memsize=%d commit=%d eager=%t maxevents=%d reduction=%t racedetect=%t flagged=%v",
-		cfg.GPF, cfg.Poison, cfg.MaxStepsPerExec, cfg.MemSize, cfg.CommitChance, cfg.EagerReadSet,
+		cfg.GPF, cfg.Poison, cfg.MaxStepsPerExec, cfg.MemSize, commitChance, eagerReadSet,
 		cfg.MaxEventsPerExec, cfg.reductionOn(), cfg.raceDetectOn(), cfg.UnflushedLines)))
 	return hex.EncodeToString(h[:8])
 }

@@ -126,33 +126,6 @@ type Config struct {
 	// the default of 16 MiB.
 	MemSize uint64
 
-	// CommitChance is the percentage chance (0–100) that a scheduler step
-	// drains a buffered store/flush instead of running a thread, when
-	// both are possible. It shapes the TSO reordering window; 0 means the
-	// default of 25.
-	CommitChance int
-
-	// EagerReadSet disables the paper's §4.5 optimization: loads
-	// materialize the full Algorithm 3 read-from set (with per-candidate
-	// failure sets) and branch n-ary over it, instead of searching
-	// lazily with binary decision points. Exploration is equivalent;
-	// only the cost per load differs. Exists for the ablation benchmark.
-	EagerReadSet bool
-
-	// Trace, when non-nil, receives a line per simulated event — loads,
-	// stores, flushes, failures, bug reports. For debugging small
-	// programs only; it grows quickly.
-	Trace io.Writer
-
-	// CaptureTrace records the buggy execution's recent events (up to
-	// TraceDepth lines) into Bug.Trace, so a report shows how the
-	// failure state was reached without re-running with Trace.
-	CaptureTrace bool
-
-	// TraceDepth bounds the captured trace; 0 means the default of 256
-	// lines.
-	TraceDepth int
-
 	// CheckpointPath names a file the checker writes crash-safe
 	// exploration checkpoints to (temp file + rename). When the file
 	// already exists at the start of a run, the run transparently resumes
@@ -185,10 +158,13 @@ type Config struct {
 	// changes. For a run that completes the tree, Executions and the
 	// decision-point counts are identical for every worker count, and the
 	// distinct-bug set (with replayable tokens) is too; Bug.Execution
-	// ordinals and which-duplicate-wins may differ. Workers is forced to 1
-	// when Trace is set (interleaved traces would be useless) and is not
-	// part of the checkpoint identity: a checkpoint written with one worker
-	// count resumes under any other.
+	// ordinals and which-duplicate-wins may differ. With Workers > 1 the
+	// program's setup function and thread bodies of different executions
+	// run concurrently, so anything they share outside the simulated
+	// memory (a result map, a counter) must be synchronized by the
+	// caller. Workers is forced to 1 when Observer is set (the op stream
+	// is one sequence) and is not part of the checkpoint identity: a
+	// checkpoint written with one worker count resumes under any other.
 	Workers int
 
 	// MemBudgetBytes is a soft heap budget for the whole exploration; 0
@@ -277,15 +253,12 @@ type Config struct {
 	// trace: execution boundaries, decision-point creation, backtracks,
 	// bugs, checkpoint/governor/spill activity, chaos fault injections and
 	// worker scheduling events are recorded into bounded per-worker ring
-	// buffers and drained to this writer as JSON lines. Unlike Trace it
-	// does not force Workers to 1 — events carry the worker index. The
-	// writer must be safe for use from the draining goroutine; a write
-	// error silences the sink without disturbing the run.
+	// buffers (4096 events each) and drained to this writer as JSON
+	// lines. Unlike Observer it does not force Workers to 1 — events
+	// carry the worker index. The writer must be safe for use from the
+	// draining goroutine; a write error silences the sink without
+	// disturbing the run.
 	EventTrace io.Writer
-
-	// EventBufferSize is the per-worker event ring capacity in events; 0
-	// means the default of 4096.
-	EventBufferSize int
 
 	// ProgressEvery emits a Progress snapshot to OnProgress at this
 	// wall-clock cadence; 0 disables periodic progress. A final snapshot
@@ -340,8 +313,8 @@ type Config struct {
 	// (the fast path validates the RNG stream and decision cursor as it
 	// goes), so PrefixFork is pure performance and deliberately excluded
 	// from the configuration digest — unlike Reduction it cannot change
-	// the tree shape. Strict Replay, Poison mode and event tracing fall
-	// back to full re-execution. Saved work is visible as
+	// the tree shape. Strict Replay and Poison mode fall back to full
+	// re-execution. Saved work is visible as
 	// Stats.PrefixForks/StepsSaved.
 	PrefixFork Switch
 
@@ -367,9 +340,9 @@ type Config struct {
 	UnflushedLines []uint64
 
 	// Observer, when non-nil, receives the op stream of the run — one
-	// OpEvent per simulated load, store, flush, fence, RMW, mutex op and
-	// failure point, in issue order. It exists for the cxlvet static
-	// pre-pass's instrumented dry run; it forces Workers to 1 and is
+	// OpEvent per simulated load, store, flush, fence, RMW, mutex op,
+	// commit, failure point, machine failure and bug report, in issue
+	// order; cxlvet and -trace both read it. It forces Workers to 1 and is
 	// excluded from the configuration digest (observation never changes
 	// exploration semantics).
 	Observer OpObserver
@@ -394,17 +367,6 @@ func (c *Config) fillDefaults() {
 	if c.MemSize == 0 {
 		c.MemSize = 16 << 20
 	}
-	if c.CommitChance <= 0 {
-		c.CommitChance = 25
-	}
-	if c.CommitChance > 99 {
-		// Leave a residual chance of running threads or the scheduler
-		// could starve programs whose buffers never empty.
-		c.CommitChance = 99
-	}
-	if c.TraceDepth == 0 {
-		c.TraceDepth = 256
-	}
 	if c.CheckpointPath != "" && c.CheckpointEvery == 0 && c.CheckpointInterval == 0 {
 		c.CheckpointInterval = 30 * time.Second
 	}
@@ -413,9 +375,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.GovernorEvery <= 0 {
 		c.GovernorEvery = 256
-	}
-	if c.Trace != nil {
-		c.Workers = 1
 	}
 	if c.Observer != nil {
 		c.Workers = 1
@@ -448,10 +407,24 @@ func (c *Config) raceDetectOn() bool { return c.RaceDetect == SwitchOn }
 
 // prefixForkOn reports whether prefix-fork fast replay may be used.
 // Poison mode mutates constraints during the load path's poison check,
-// and tracing wants every event re-emitted, so both force full replay.
+// so it forces full replay. An Observer does not: the fast path runs
+// every thread operation and commit live, so a forked execution emits
+// the same op stream as a full one.
 func (c *Config) prefixForkOn() bool {
-	return c.PrefixFork != SwitchOff && !c.Poison && c.Trace == nil && !c.CaptureTrace
+	return c.PrefixFork != SwitchOff && !c.Poison
 }
+
+// Test hooks, fixed in real runs and set only through export_test.go;
+// configDigest prints both. commitChance is the percentage chance that a
+// scheduler step drains a buffered store/flush instead of running a
+// thread, shaping the TSO reordering window. eagerReadSet turns off the
+// §4.5 lazy search: loads materialize the full Algorithm 3 read-from set
+// and branch n-ary over it — the same exploration at a higher per-load
+// cost, kept as the reference the lazy search is tested against.
+var (
+	commitChance = 25
+	eagerReadSet = false
+)
 
 // BugKind classifies a reported bug.
 type BugKind uint8
@@ -532,13 +505,13 @@ type Bug struct {
 	Execution int    // 1-based execution index where first found
 	Machine   string // machine name of the reporting thread, if any
 	Thread    string // thread name, if any
-	// Trace holds the buggy execution's most recent events when
-	// Config.CaptureTrace was set.
+	// Trace holds the buggy execution's most recent events (up to 256
+	// trace lines, oldest first) when the bug comes from Replay.
 	Trace []string
 	// ReproToken is a self-contained, base64-encoded witness of the buggy
 	// execution: seed, configuration and program digests, and the
 	// decision path. Pass it to Replay to re-run exactly this execution
-	// with tracing on. Failure-injection branches that are not needed for
+	// and get its trace. Failure-injection branches that are not needed for
 	// the bug to reproduce are pruned from the token before it is
 	// reported.
 	ReproToken string `json:",omitempty"`

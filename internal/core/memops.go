@@ -23,8 +23,8 @@ func (ck *Checker) commitSBHead(t *Thread) {
 	switch h.Kind {
 	case memmodel.SBStore:
 		st := ck.mem.CommitStore(t.tb, t.mach.id)
-		if ck.tracing {
-			ck.tracef("commit store [%#x]=%d (σ%d) by %s/%s", st.Addr, st.Val, st.Seq, t.mach.name, t.name)
+		if ck.observing {
+			ck.observe(t, OpEvent{Kind: OpCommitStore, Addr: st.Addr, Size: st.Size, Value: st.Val})
 		}
 	case memmodel.SBClflush:
 		eff := ck.mem.PreviewClflush(t.tb, t.mach.id)
@@ -32,8 +32,8 @@ func (ck *Checker) commitSBHead(t *Thread) {
 			return
 		}
 		eff = ck.mem.CommitClflush(t.tb, t.mach.id)
-		if ck.tracing {
-			ck.tracef("commit clflush line %d → begin %d by %s/%s", eff.Line, eff.NewBegin, t.mach.name, t.name)
+		if ck.observing {
+			ck.observe(t, OpEvent{Kind: OpCommitClflush, Line: eff.Line, Begin: eff.NewBegin})
 		}
 	case memmodel.SBClflushopt:
 		ck.mem.CommitClflushopt(t.tb)
@@ -51,8 +51,8 @@ func (ck *Checker) commitFBHead(t *Thread) {
 		return
 	}
 	eff = ck.mem.CommitFB(t.tb, t.mach.id)
-	if ck.tracing {
-		ck.tracef("commit clflushopt line %d → begin %d by %s/%s", eff.Line, eff.NewBegin, t.mach.name, t.name)
+	if ck.observing {
+		ck.observe(t, OpEvent{Kind: OpCommitClflushopt, Line: eff.Line, Begin: eff.NewBegin})
 	}
 }
 
@@ -94,12 +94,12 @@ func (ck *Checker) maybeInjectFailure(t *Thread, eff memmodel.FlushEffect) bool 
 		// sites. Flush-chain subsumption (the first condition inside
 		// pruneFailurePoint) is a mechanical dedup within one drain.
 		if ck.observing && !(ck.fbChainDecided && !ck.cfg.Poison) {
-			ck.observeOp(t, OpDeadFailurePoint, 0, 0, eff.Line, 0, "")
+			ck.observe(t, OpEvent{Kind: OpDeadFailurePoint, Line: eff.Line})
 		}
 		return false
 	}
 	if ck.observing {
-		ck.observeOp(t, OpFailurePoint, 0, 0, eff.Line, 0, "")
+		ck.observe(t, OpEvent{Kind: OpFailurePoint, Line: eff.Line})
 	}
 	if ck.choose(decision.KindFailure, 2) == 1 {
 		ck.failMachine(t.mach, fmt.Sprintf("injected instead of flush of line %d", eff.Line))
@@ -174,7 +174,7 @@ func (ck *Checker) execMFence(t *Thread) {
 	// above, and a fence that never completed must not appear in the
 	// op stream.
 	if ck.observing {
-		ck.observeOp(t, OpMFence, 0, 0, 0, 0, "")
+		ck.observe(t, OpEvent{Kind: OpMFence})
 	}
 }
 
@@ -185,9 +185,6 @@ func (ck *Checker) load(t *Thread, a Addr, size uint8) uint64 {
 	ck.checkRange(a, uint64(size))
 	if ck.race.on && !ck.inRMW {
 		ck.raceRead(t, a, size)
-	}
-	if ck.observing && !ck.inRMW {
-		ck.observeOp(t, OpLoad, a, size, 0, 0, "")
 	}
 	// The read context is pooled on the checker (its store scratch buffer
 	// carries over between loads); only one load is ever in flight because
@@ -227,8 +224,12 @@ func (ck *Checker) load(t *Thread, a Addr, size uint8) uint64 {
 		}
 		val |= uint64(c.Val) << (8 * i)
 	}
-	if ck.tracing {
-		ck.tracef("load [%#x]×%d = %d by %s/%s", a, size, val, t.mach.name, t.name)
+	if ck.observing {
+		kind := OpLoad
+		if ck.inRMW {
+			kind = OpRMWLoad
+		}
+		ck.observe(t, OpEvent{Kind: kind, Addr: a, Size: size, Value: val})
 	}
 	return val
 }
@@ -237,11 +238,12 @@ func (ck *Checker) load(t *Thread, a Addr, size uint8) uint64 {
 // placing one binary decision point per non-final candidate: take it, or
 // keep searching (§4.5). The final candidate is forced.
 //
-// With Config.EagerReadSet the full Algorithm 3 set is materialized
-// instead and the choice is one n-ary decision point — the
-// pre-optimization behaviour, kept for the ablation benchmark.
+// Under the eagerReadSet test hook the full Algorithm 3 set is
+// materialized instead and the choice is one n-ary decision point — the
+// pre-optimization behaviour, kept as the reference the lazy search is
+// tested against.
 func (ck *Checker) chooseCandidate(rc *memmodel.ReadContext, b Addr) memmodel.Candidate {
-	if ck.cfg.EagerReadSet {
+	if eagerReadSet {
 		r := rc.BuildMayReadFrom(b)
 		if len(r) == 0 {
 			internalPanic("empty read-from set")
@@ -330,10 +332,7 @@ func (ck *Checker) store(t *Thread, a Addr, size uint8, val uint64) {
 		ck.raceWrite(t, a, size)
 	}
 	if ck.observing {
-		ck.observeOp(t, OpStore, a, size, 0, 0, "")
-	}
-	if ck.tracing {
-		ck.tracef("exec store [%#x]×%d=%d by %s/%s", a, size, val, t.mach.name, t.name)
+		ck.observe(t, OpEvent{Kind: OpStore, Addr: a, Size: size, Value: val})
 	}
 	for size > 0 {
 		lineEnd := memmodel.LineBase(memmodel.LineOf(a)) + memmodel.LineSize
@@ -367,7 +366,7 @@ func (ck *Checker) rmw(t *Thread, a Addr, size uint8, fn func(cur uint64) (uint6
 			ck.raceRMW(t, a)
 		}
 		if ck.observing {
-			ck.observeOp(t, OpRMW, a, size, 0, 0, "")
+			ck.observe(t, OpEvent{Kind: OpRMW, Addr: a, Size: size})
 		}
 		// The internal load below is half of one atomic instruction, not
 		// a plain access; the deferred reset also covers an injected
@@ -378,9 +377,9 @@ func (ck *Checker) rmw(t *Thread, a Addr, size uint8, fn func(cur uint64) (uint6
 	ck.execMFence(t)
 	cur := ck.load(t, a, size)
 	if nv, doStore := fn(cur); doStore {
-		st := ck.mem.CommitDirectStore(t.tb, t.mach.id, a, size, nv)
-		if ck.tracing {
-			ck.tracef("rmw store [%#x]=%d (σ%d) by %s/%s", a, nv, st.Seq, t.mach.name, t.name)
+		ck.mem.CommitDirectStore(t.tb, t.mach.id, a, size, nv)
+		if ck.observing {
+			ck.observe(t, OpEvent{Kind: OpRMWStore, Addr: a, Size: size, Value: nv})
 		}
 	}
 	ck.execMFence(t)

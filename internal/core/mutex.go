@@ -32,14 +32,7 @@ func (mu *Mutex) Lock(t *Thread) (ownerFailed bool) {
 		mu.waiters = append(mu.waiters, t)
 		t.st.Block("mutex " + mu.name)
 	}
-	mu.owner = t
-	ck := t.ck
-	if ck.race.on {
-		ck.raceAcquire(t, mu)
-	}
-	if ck.observing {
-		ck.observeOp(t, OpMutexLock, 0, 0, 0, mu.idx, mu.name)
-	}
+	mu.acquire(t)
 	return mu.releasedByFailure
 }
 
@@ -49,15 +42,21 @@ func (mu *Mutex) TryLock(t *Thread) (acquired, ownerFailed bool) {
 	if mu.owner != nil {
 		return false, false
 	}
+	mu.acquire(t)
+	return true, mu.releasedByFailure
+}
+
+// acquire makes t the owner, reporting the acquisition to the race
+// detector and the op stream.
+func (mu *Mutex) acquire(t *Thread) {
 	mu.owner = t
 	ck := t.ck
 	if ck.race.on {
 		ck.raceAcquire(t, mu)
 	}
 	if ck.observing {
-		ck.observeOp(t, OpMutexLock, 0, 0, 0, mu.idx, mu.name)
+		ck.observe(t, OpEvent{Kind: OpMutexLock, Mutex: mu.idx, MutexName: mu.name})
 	}
-	return true, mu.releasedByFailure
 }
 
 // Unlock releases the mutex. Unlocking a mutex the calling thread does
@@ -84,7 +83,7 @@ func (mu *Mutex) Unlock(t *Thread) {
 		ck.raceRelease(t, mu)
 	}
 	if ck.observing {
-		ck.observeOp(t, OpMutexUnlock, 0, 0, 0, mu.idx, mu.name)
+		ck.observe(t, OpEvent{Kind: OpMutexUnlock, Mutex: mu.idx, MutexName: mu.name})
 	}
 	mu.owner = nil
 	mu.releasedByFailure = false

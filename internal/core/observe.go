@@ -218,7 +218,7 @@ func (e *engine) initObs() (func(), error) {
 		e.om.workerCount.Set(int64(e.cfg.Workers))
 	}
 	if e.cfg.EventTrace != nil {
-		e.tracer = obs.NewTracer(e.cfg.Workers, e.cfg.EventBufferSize, e.cfg.EventTrace)
+		e.tracer = obs.NewTracer(e.cfg.Workers, 0, e.cfg.EventTrace) // 0: 4096-event rings
 	}
 	if e.cfg.Chaos != nil && (reg != nil || e.tracer != nil) {
 		om, tr := e.om, e.tracer

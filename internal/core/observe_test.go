@@ -127,7 +127,7 @@ func TestStatusServerServesLiveRun(t *testing.T) {
 // distinct bug appears.
 func TestEventTraceStructure(t *testing.T) {
 	var buf bytes.Buffer
-	res, err := Run(Config{ContinueAfterBug: true, EventTrace: &buf, EventBufferSize: 8}, resilientBuggy)
+	res, err := Run(Config{ContinueAfterBug: true, EventTrace: &buf}, resilientBuggy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestEventTraceStructure(t *testing.T) {
 }
 
 // TestEventTraceKeepsParallelism: tracing must not silently serialize
-// the run (unlike Config.Trace) — a traced 4-worker run explores the
+// the run (unlike Config.Observer) — a traced 4-worker run explores the
 // same state space as the untraced reference.
 func TestEventTraceKeepsParallelism(t *testing.T) {
 	want := referenceRun(t, resilientNoisy)

@@ -534,7 +534,7 @@ func (e *engine) adoptCheckpoint(cp *checkpointData) error {
 			path, cp.Seed, e.cfg.Seed)
 	}
 	if cp.ConfigDigest != e.cfgDigest {
-		return fmt.Errorf("cxlmc: checkpoint %s was written under a different configuration (digest %s, this run %s): GPF/Poison/EagerReadSet/CommitChance/MaxStepsPerExec/MemSize/Reduction/RaceDetect must match",
+		return fmt.Errorf("cxlmc: checkpoint %s was written under a different configuration (digest %s, this run %s): GPF/Poison/MaxStepsPerExec/MemSize/MaxEventsPerExec/Reduction/RaceDetect must match",
 			path, cp.ConfigDigest, e.cfgDigest)
 	}
 	if cp.ProgramDigest != e.progDigest {

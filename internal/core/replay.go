@@ -52,16 +52,16 @@ func decodeReproToken(s string) (*reproToken, error) {
 	return &t, nil
 }
 
-// Replay re-runs exactly the execution a Bug's ReproToken witnessed,
-// with CaptureTrace forced on so the result's bug carries its event
-// trace. The token pins the seed; the remaining exploration-relevant
-// configuration (GPF, Poison, EagerReadSet, CommitChance,
-// MaxStepsPerExec, MemSize, MaxEventsPerExec, Reduction, RaceDetect and
-// its UnflushedLines) and the program
-// structure must match the recording run, and a mismatch is rejected
-// with a descriptive error. PrefixFork is not part of the digest — a
-// replay always re-executes in full regardless of its setting. The
-// replay is a single execution; Stats.Executions is 1.
+// Replay re-runs exactly the execution a Bug's ReproToken witnessed; each
+// replayed bug carries the last traceDepth trace lines that led to it as
+// Bug.Trace, and a caller's Config.Observer sees the whole stream. The token
+// pins the seed; the remaining exploration-relevant configuration (GPF,
+// Poison, MaxStepsPerExec, MemSize, MaxEventsPerExec, Reduction,
+// RaceDetect and its UnflushedLines) and the program structure must
+// match the recording run, and a mismatch is rejected with a
+// descriptive error. PrefixFork is not part of the digest — a replay
+// always re-executes in full regardless of its setting. The replay is a
+// single execution; Stats.Executions is 1.
 func Replay(token string, cfg Config, program func(*Program)) (*Result, error) {
 	if program == nil {
 		return nil, setupError{"nil program"}
@@ -75,10 +75,11 @@ func Replay(token string, cfg Config, program func(*Program)) (*Result, error) {
 		return nil, fmt.Errorf("cxlmc: bad repro token path: %w", err)
 	}
 	cfg.Seed = tok.Seed
-	cfg.CaptureTrace = true
+	ring := &traceRing{next: cfg.Observer}
+	cfg.Observer = ring
 	cfg.fillDefaults()
 	if d := configDigest(cfg); d != tok.Config {
-		return nil, fmt.Errorf("cxlmc: repro token was recorded under a different configuration (digest %s, this run %s): GPF/Poison/EagerReadSet/CommitChance/MaxStepsPerExec/MemSize/MaxEventsPerExec/Reduction/RaceDetect must match the recording run",
+		return nil, fmt.Errorf("cxlmc: repro token was recorded under a different configuration (digest %s, this run %s): GPF/Poison/MaxStepsPerExec/MemSize/MaxEventsPerExec/Reduction/RaceDetect must match the recording run",
 			tok.Config, d)
 	}
 	progDigest, err := programDigestOf(cfg, program)
@@ -90,7 +91,38 @@ func Replay(token string, cfg Config, program func(*Program)) (*Result, error) {
 			tok.Program, progDigest)
 	}
 	res, _, err := replayPath(cfg, program, progDigest, steps, false)
-	return res, err
+	if err != nil {
+		return nil, err
+	}
+	// The checker is fresh, so every bug was reported once, in order.
+	for i := range res.Bugs {
+		res.Bugs[i].Trace = ring.traces[i]
+	}
+	return res, nil
+}
+
+// traceDepth bounds the trace Replay attaches to a bug, in lines.
+const traceDepth = 256
+
+// traceRing is Replay's observer: it keeps the last traceDepth trace
+// lines, snapshots them at each bug report, and forwards every event to
+// the caller's observer, if any.
+type traceRing struct {
+	next   OpObserver
+	lines  []string
+	traces [][]string
+}
+
+func (r *traceRing) Op(ev OpEvent) {
+	if r.next != nil {
+		r.next.Op(ev)
+	}
+	if ev.Kind == OpBug {
+		r.traces = append(r.traces, append([]string(nil), r.lines...))
+	}
+	if line := ev.TraceLine(); line != "" {
+		r.lines = append(r.lines[max(0, len(r.lines)-traceDepth+1):], line)
+	}
 }
 
 // replayPath runs program for exactly one execution along the recorded
@@ -161,9 +193,9 @@ func minimizeBugTokens(cfg Config, program func(*Program), progDigest string, bu
 		return
 	}
 	// Strip run-control knobs that must not fire during minimization
-	// replays; none of them are part of the config digest.
-	cfg.Trace = nil
-	cfg.CaptureTrace = false
+	// replays; none of them are part of the config digest. The replays
+	// emit nothing: the op stream already showed the execution once.
+	cfg.Observer = nil
 	cfg.Stop = nil
 	cfg.CheckpointPath = ""
 	cfg.MaxTime = 0

@@ -137,8 +137,9 @@ func newMetrics(reg *obs.Registry) metrics {
 
 // sseEvent is one fanned-out server-sent event.
 type sseEvent struct {
-	name string
-	data []byte
+	name     string
+	data     []byte
+	terminal bool // a status event carrying a terminal state
 }
 
 // job is the server's in-memory view of one submitted exploration.
@@ -610,10 +611,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	// Lead with the current status so a late subscriber is never blind,
 	// then follow the live feed.
-	st := j.status(false)
-	data, _ := json.Marshal(st)
-	writeEv(sseEvent{name: "status", data: data})
-	if st.State.Terminal() {
+	ev := j.statusEvent()
+	writeEv(ev)
+	if ev.terminal {
 		return
 	}
 	ch := j.subscribe()
@@ -621,20 +621,34 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case ev, ok := <-ch:
 			if !ok {
+				// The channel closes once the job is terminal, but the
+				// terminal event never arrived: the job finished before
+				// subscribe, or publish dropped the event for a full
+				// buffer. End the stream on the final status anyway.
+				writeEv(j.statusEvent())
 				return
 			}
 			writeEv(ev)
+			if ev.terminal {
+				return
+			}
 		case <-r.Context().Done():
 			return
 		}
 	}
 }
 
-// publishState journals a transition's SSE event to subscribers.
-func (s *Server) publishState(j *job) {
+// statusEvent is the job's current status as an SSE event.
+func (j *job) statusEvent() sseEvent {
 	st := j.status(false)
 	data, _ := json.Marshal(st)
-	j.publish(sseEvent{name: "status", data: data}, st.State.Terminal())
+	return sseEvent{name: "status", data: data, terminal: st.State.Terminal()}
+}
+
+// publishState journals a transition's SSE event to subscribers.
+func (s *Server) publishState(j *job) {
+	ev := j.statusEvent()
+	j.publish(ev, ev.terminal)
 }
 
 func (s *Server) publishProgress(j *job, p cxlmc.Progress) {
