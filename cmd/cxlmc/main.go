@@ -637,14 +637,14 @@ func run() int {
 			Stop:               stop,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cxlmc: %v\n", strings.TrimPrefix(err.Error(), "dist: "))
+			fmt.Fprintf(os.Stderr, "cxlmc: %v\n", strings.TrimPrefix(strings.TrimPrefix(err.Error(), "dist: "), "cxlmc: "))
 			return 1
 		}
 		fmt.Fprintf(os.Stderr, "cxlmc: coordinator serving the frontier on %s (workers: %s -join %s)\n",
 			coord.Addr(), reproFlags, coord.Addr())
 		res, err := coord.Wait(nil)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cxlmc: %v\n", strings.TrimPrefix(err.Error(), "dist: "))
+			fmt.Fprintf(os.Stderr, "cxlmc: %v\n", strings.TrimPrefix(strings.TrimPrefix(err.Error(), "dist: "), "cxlmc: "))
 			return 1
 		}
 		if reg != nil {

@@ -19,9 +19,12 @@ type Checker struct {
 	cfg     Config
 	program func(*Program)
 	tree    *decision.Tree
-	stats   Stats
-	bugs    []Bug
-	seen    map[string]bool
+	// tally counts what this checker did. Its Executions stays zero:
+	// the engine counts executions as it reserves them, and execNo is
+	// the reserved 1-based ordinal of the current execution.
+	tally  Tally
+	execNo int
+	bugs   BugSet
 	// cfgDigest and progDigest identify what is being explored; they are
 	// stamped into checkpoints and repro tokens and validated on
 	// resume/replay. fp is only non-nil while programDigestOf records.
@@ -181,14 +184,6 @@ func Run(cfg Config, program func(*Program)) (*Result, error) {
 	return newEngine(cfg, program, progDigest).run()
 }
 
-// finalizeStats fills the derived statistics fields.
-func (ck *Checker) finalizeStats(start time.Time, prior time.Duration) {
-	ck.stats.FailurePoints = ck.tree.Created(decision.KindFailure)
-	ck.stats.ReadFromPoints = ck.tree.Created(decision.KindReadFrom)
-	ck.stats.PoisonPoints = ck.tree.Created(decision.KindPoison)
-	ck.stats.Elapsed = prior + time.Since(start)
-}
-
 // stopRequested polls the graceful-interruption channel.
 func stopRequested(stop <-chan struct{}) bool {
 	if stop == nil {
@@ -208,7 +203,7 @@ func (ck *Checker) newInternalError(msg string) *InternalError {
 	return &InternalError{
 		Msg:       msg,
 		Seed:      ck.cfg.Seed,
-		Execution: ck.stats.Executions,
+		Execution: ck.execNo,
 		Path:      base64.RawURLEncoding.EncodeToString(decision.EncodePath(ck.tree.Path())),
 	}
 }
@@ -292,12 +287,12 @@ func (ck *Checker) resetExecution() {
 // The observability calls bracketing the loop are per-execution, never
 // per-step, and are nil checks when observability is off.
 func (ck *Checker) runOneExecution() {
-	ck.tracer.Record(ck.workerID, obs.EvExecStart, int64(ck.stats.Executions), 0)
-	stepsBefore := ck.stats.Steps
+	ck.tracer.Record(ck.workerID, obs.EvExecStart, int64(ck.execNo), 0)
+	stepsBefore := ck.tally.Steps
 	ck.runExecutionLoop()
-	ck.om.execSteps.Observe(float64(ck.stats.Steps - stepsBefore))
+	ck.om.execSteps.Observe(float64(ck.tally.Steps - stepsBefore))
 	ck.om.execDepth.Observe(float64(ck.tree.Depth()))
-	ck.tracer.Record(ck.workerID, obs.EvExecEnd, int64(ck.stats.Executions), ck.stats.Steps-stepsBefore)
+	ck.tracer.Record(ck.workerID, obs.EvExecEnd, int64(ck.execNo), ck.tally.Steps-stepsBefore)
 }
 
 func (ck *Checker) runExecutionLoop() {
@@ -318,7 +313,7 @@ func (ck *Checker) runExecutionLoop() {
 			internalPanic("prefix-fork: step log shorter than the armed fork point")
 		}
 		ck.fast = true
-		ck.stats.PrefixForks++
+		ck.tally.PrefixForks++
 		ck.om.prefixForks.Inc()
 	} else {
 		ck.stepLog = ck.stepLog[:0]
@@ -341,7 +336,7 @@ func (ck *Checker) runExecutionLoop() {
 	// abandoned thread's resume channel.
 	for !ck.aborted && !ck.timedOut {
 		ck.stepNo++
-		ck.stats.Steps++
+		ck.tally.Steps++
 		if ck.stepNo > ck.cfg.MaxStepsPerExec {
 			ck.reportBug(BugLivelock, fmt.Sprintf("step limit exceeded (%d): livelock in checked program?", ck.cfg.MaxStepsPerExec), nil)
 			return
@@ -364,7 +359,7 @@ func (ck *Checker) runExecutionLoop() {
 		if ck.fast {
 			if ck.stepNo < fastUntil {
 				ck.replayStep(ck.stepLog[ck.stepNo-1])
-				ck.stats.StepsSaved++
+				ck.tally.StepsSaved++
 				continue
 			}
 			// Fork point reached: drop the log suffix belonging to the
@@ -705,15 +700,13 @@ func (ck *Checker) onThreadPanic(st *sched.Thread, v any) {
 // exploration) and aborts the current execution.
 func (ck *Checker) reportBug(kind BugKind, msg string, t *Thread) {
 	ck.aborted = true
-	key := kind.String() + ":" + msg
-	if ck.seen[key] {
+	b := Bug{Kind: kind, Message: msg, Execution: ck.execNo}
+	if ck.bugs.Has(b) {
 		return
 	}
-	ck.seen[key] = true
 	if kind == BugDataRace || kind == BugUnflushedPublish {
-		ck.tracer.Record(ck.workerID, obs.EvDataRace, int64(ck.stats.Executions), 0)
+		ck.tracer.Record(ck.workerID, obs.EvDataRace, int64(ck.execNo), 0)
 	}
-	b := Bug{Kind: kind, Message: msg, Execution: ck.stats.Executions}
 	if t != nil {
 		b.Machine = t.mach.name
 		b.Thread = t.name
@@ -726,7 +719,7 @@ func (ck *Checker) reportBug(kind BugKind, msg string, t *Thread) {
 			Path:    decision.EncodePath(ck.tree.Path()),
 		})
 	}
-	ck.bugs = append(ck.bugs, b)
+	ck.bugs.Add(b)
 	if ck.observing {
 		reported := b
 		ck.observe(t, OpEvent{Kind: OpBug, Bug: &reported})

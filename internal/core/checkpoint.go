@@ -45,15 +45,18 @@ type checkpointData struct {
 	// (fully) explored. A fresh run checkpoints a single unit: the whole
 	// tree.
 	Units [][]byte `json:"units"`
-	// BaseCreated counts the decision points (indexed by decision.Kind)
-	// created by units that already completed; outstanding units carry
-	// their own counts inside their snapshots.
-	BaseCreated [numDecisionKinds]int `json:"base_created"`
-	Executions  int                   `json:"executions"`
-	Steps       int64                 `json:"steps"`
-	Elapsed     time.Duration         `json:"elapsed_ns"`
-	Complete    bool                  `json:"complete"`
-	Interrupted bool                  `json:"interrupted"`
+	// Tally holds the cumulative counters. Its Created (key
+	// base_created) counts the decision points of units that already
+	// completed; outstanding units carry their own counts inside their
+	// snapshots. Counters added after version 2 shipped are omitempty
+	// and decode as zeros from older checkpoints, so no version bump is
+	// needed. Reduction eligibility itself is never serialized: pruning
+	// is recomputed deterministically during unit replay and fork logs
+	// are rebuilt once per adopted unit.
+	Tally
+	Elapsed     time.Duration `json:"elapsed_ns"`
+	Complete    bool          `json:"complete"`
+	Interrupted bool          `json:"interrupted"`
 	// Cumulative resilience counters, carried across resumptions so
 	// Stats reports the whole exploration's history, not just the last
 	// process's. Added after version 2 shipped; omitted fields decode as
@@ -63,15 +66,6 @@ type checkpointData struct {
 	CheckpointErrors int   `json:"checkpoint_errors,omitempty"`
 	Quarantined      bool  `json:"quarantined,omitempty"`
 	Bugs             []Bug `json:"bugs,omitempty"`
-	// Cumulative reduction/prefix-fork counters, same omitempty contract
-	// as the resilience counters above. Eligibility itself is never
-	// serialized: pruning is recomputed deterministically during unit
-	// replay and fork logs are rebuilt once per adopted unit.
-	Pruned      int64 `json:"pruned,omitempty"`
-	PrefixForks int64 `json:"prefix_forks,omitempty"`
-	StepsSaved  int64 `json:"steps_saved,omitempty"`
-	// Cumulative race-detector reports, same omitempty contract.
-	RaceReports int64 `json:"race_reports,omitempty"`
 }
 
 // numDecisionKinds is the number of decision.Kind values (read-from,
@@ -126,7 +120,6 @@ func programDigestOf(cfg Config, program func(*Program)) (digest string, err err
 		cfg:     cfg,
 		program: program,
 		tree:    decision.NewTree(),
-		seen:    make(map[string]bool),
 		fp:      fp,
 	}
 	defer func() {
@@ -377,9 +370,6 @@ func writeCheckpointOnce(path string, raw []byte, inj *chaos.Injector) error {
 	return nil
 }
 
-// The engine in parallel.go assembles and adopts checkpointData; this
-// file only defines the format and the crash-safe file I/O.
-
 // Checkpoint is the exported name of the version-2 checkpoint envelope,
 // for callers outside the engine — notably the distributed coordinator,
 // which persists its frontier in the same format so a single-process run
@@ -397,31 +387,89 @@ func NewCheckpoint(seed int64, cfgDigest, progDigest string) *Checkpoint {
 	}
 }
 
-// LoadCheckpoint reads and validates the checkpoint at path. A missing
-// file returns (nil, nil); an undecodable file returns an error for
-// which IsCorruptCheckpoint reports true (quarantine it and start
-// fresh); version skew is a hard error.
-func LoadCheckpoint(path string, inj *chaos.Injector) (*Checkpoint, error) {
-	return loadCheckpoint(path, inj)
-}
-
 // WriteCheckpoint writes cp crash-safely (temp file + fsync + atomic
 // rename, transient faults retried with backoff).
 func WriteCheckpoint(path string, cp *Checkpoint, inj *chaos.Injector) error {
 	return writeCheckpointFile(path, cp, inj, coreMetrics{}, nil)
 }
 
-// QuarantineCheckpoint moves an undecodable checkpoint to
-// <path>.corrupt, preserving it for post-mortems.
-func QuarantineCheckpoint(path string, inj *chaos.Injector) error {
-	return quarantineCheckpoint(path, inj)
+// Resume is an adopted checkpoint: the envelope with Units cut down to
+// the outstanding units and Created crediting the finished ones, plus
+// the outstanding units decoded (Trees, in Units order).
+type Resume struct {
+	*Checkpoint
+	Trees []*decision.Tree
 }
 
-// IsCorruptCheckpoint reports whether err classifies a checkpoint file
-// as corrupt (as opposed to mismatched identity or version skew).
-func IsCorruptCheckpoint(err error) bool {
-	var c *corruptCheckpointError
-	return errors.As(err, &c)
+// Total is the resumed tally including the decision points the
+// outstanding units carry. A frontier that hands units to remote
+// workers credits those here, once: the workers baseline a unit's
+// embedded counts away when they lease it and report only what they add.
+func (r *Resume) Total() Tally {
+	t := r.Tally
+	for _, tr := range r.Trees {
+		t.Add(unitTally(tr))
+	}
+	return t
+}
+
+// ResumeCheckpoint adopts the checkpoint at path for the exploration
+// identified by seed and the two digests; the single-process engine and
+// the distributed coordinator both resume through it. A missing file
+// returns (nil, false, nil). A checkpoint written for another seed,
+// configuration or program, or in another format version, is an error.
+// A corrupt one — undecodable JSON or any unit snapshot that does not
+// decode — is quarantined (renamed to <path>.corrupt, preserved for
+// post-mortems) and reported as quarantined, so the caller starts fresh:
+// every unit is decoded before anything is credited, and a half-adopted
+// checkpoint never leaks into the fresh start.
+func ResumeCheckpoint(path string, inj *chaos.Injector, seed int64, cfgDigest, progDigest string) (r *Resume, quarantined bool, err error) {
+	cp, err := loadCheckpoint(path, inj)
+	if err == nil && cp != nil {
+		r, err = cp.adopt(path, seed, cfgDigest, progDigest)
+	}
+	var corrupt *corruptCheckpointError
+	if !errors.As(err, &corrupt) {
+		return r, false, err
+	}
+	if qerr := quarantineCheckpoint(path, inj); qerr != nil {
+		return nil, false, fmt.Errorf("%w (and quarantining it failed: %v)", err, qerr)
+	}
+	return nil, true, nil
+}
+
+// adopt validates cp's identity and splits its units into finished ones,
+// credited to Created, and outstanding ones, decoded.
+func (cp *checkpointData) adopt(path string, seed int64, cfgDigest, progDigest string) (*Resume, error) {
+	if cp.Seed != seed {
+		return nil, fmt.Errorf("cxlmc: checkpoint %s was written for seed %d, this run uses seed %d: delete the checkpoint or match the seed",
+			path, cp.Seed, seed)
+	}
+	if cp.ConfigDigest != cfgDigest {
+		return nil, fmt.Errorf("cxlmc: checkpoint %s was written under a different configuration (digest %s, this run %s): GPF/Poison/MaxStepsPerExec/MemSize/MaxEventsPerExec/Reduction/RaceDetect must match",
+			path, cp.ConfigDigest, cfgDigest)
+	}
+	if cp.ProgramDigest != progDigest {
+		return nil, fmt.Errorf("cxlmc: checkpoint %s was written for a different program (digest %s, this program %s): the program structure changed since the checkpoint",
+			path, cp.ProgramDigest, progDigest)
+	}
+	r := &Resume{Checkpoint: cp}
+	var outstanding [][]byte
+	for _, raw := range cp.Units {
+		tr := decision.NewTree()
+		if err := tr.Restore(raw); err != nil {
+			return nil, &corruptCheckpointError{path: path, err: err}
+		}
+		if tr.Done() {
+			// A finished unit's counters still belong in the totals.
+			cp.Tally.Add(unitTally(tr))
+			continue
+		}
+		outstanding = append(outstanding, raw)
+		r.Trees = append(r.Trees, tr)
+	}
+	cp.Units = outstanding
+	return r, nil
 }
 
 // ExplorationDigests computes the configuration and program digests that

@@ -14,6 +14,12 @@ package core
 //   - dist.RemoteFrontier: the worker-side client that speaks the
 //     coordinator's HTTP protocol through a retrying transport.
 //
+// Results travel as Tally deltas and sum into the MemFrontier's one
+// Tally and BugSet. Resuming goes through ResumeCheckpoint, the same
+// adoption the single-process engine uses: Credit folds the adopted
+// totals, bugs and outstanding units in, and FillCheckpoint writes them
+// back out in the same version-2 format.
+//
 // The lease protocol is what makes distribution safe: every lease
 // carries a deadline and an epoch. A unit whose holder goes quiet past
 // the deadline is reclaimed — its epoch is bumped and it is re-issued to
@@ -25,11 +31,9 @@ import (
 	"errors"
 	"sync"
 	"time"
-)
 
-// NumDecisionKinds is the number of decision.Kind values; exported so
-// frontier implementations outside this package can size Created arrays.
-const NumDecisionKinds = numDecisionKinds
+	"repro/internal/decision"
+)
 
 // ErrStopped is returned by Frontier.Lease when the run's stop channel
 // fired while waiting for work.
@@ -50,21 +54,11 @@ type LeasedUnit struct {
 }
 
 // UnitReport is what a worker hands back when every unit derived from a
-// lease has been explored (or released early on a graceful stop). Stats
-// fields are deltas since the worker's previous report, so summing
+// lease has been explored (or released early on a graceful stop). The
+// Tally is a delta since the worker's previous report, so summing
 // reports across workers yields exact totals when nothing crashes.
 type UnitReport struct {
-	Executions int
-	Steps      int64
-	// Pruned/PrefixForks/StepsSaved are the worker's state-space
-	// reduction and prefix-fork replay deltas (see Stats).
-	Pruned      int64
-	PrefixForks int64
-	StepsSaved  int64
-	// RaceReports is the worker's happens-before race-report delta
-	// (pre-dedup, see Stats.RaceReports).
-	RaceReports int64
-	Created     [NumDecisionKinds]int
+	Tally
 	// Bugs are the distinct bugs found since the previous report, with
 	// repro tokens attached. The frontier deduplicates globally.
 	Bugs []Bug
@@ -155,16 +149,9 @@ type MemFrontier struct {
 	stopping bool
 
 	stats FrontierStats
-	// Accumulated results from completion reports.
-	execs        int
-	steps        int64
-	pruned       int64
-	prefixForks  int64
-	stepsSaved   int64
-	races        int64
-	created      [NumDecisionKinds]int
-	bugs         []Bug
-	seen         map[string]bool
+	// Accumulated results from completion reports and Credit.
+	tally        Tally
+	bugs         BugSet
 	unitsAdded   int
 	unitsDone    int
 	janitorStop  chan struct{}
@@ -180,7 +167,6 @@ func NewMemFrontier(cfg MemFrontierConfig, units [][]byte) *MemFrontier {
 	f := &MemFrontier{
 		cfg:          cfg,
 		leased:       make(map[uint64]*frontierUnit),
-		seen:         make(map[string]bool),
 		janitorStop:  make(chan struct{}),
 		janitorEnded: make(chan struct{}),
 	}
@@ -275,13 +261,18 @@ func (f *MemFrontier) TryLease(holder string) (u *LeasedUnit, done bool) {
 	if len(f.queue) == 0 {
 		return nil, len(f.leased) == 0
 	}
+	return f.grantLocked(holder), false
+}
+
+// grantLocked leases the queue's head unit to holder.
+func (f *MemFrontier) grantLocked(holder string) *LeasedUnit {
 	fu := f.queue[0]
 	f.queue = f.queue[1:]
 	fu.deadline = time.Now().Add(f.cfg.LeaseTTL)
 	fu.holder = holder
 	f.leased[fu.id] = fu
 	f.event("grant", fu.id, fu.epoch)
-	return &LeasedUnit{ID: fu.id, Epoch: fu.epoch, Snapshot: fu.snap, Deadline: fu.deadline}, false
+	return &LeasedUnit{ID: fu.id, Epoch: fu.epoch, Snapshot: fu.snap, Deadline: fu.deadline}
 }
 
 // Lease implements Frontier: it blocks until a unit is available, the
@@ -299,13 +290,7 @@ func (f *MemFrontier) Lease(stop <-chan struct{}) (*LeasedUnit, error) {
 			return nil, nil
 		}
 		if len(f.queue) > 0 {
-			fu := f.queue[0]
-			f.queue = f.queue[1:]
-			fu.deadline = time.Now().Add(f.cfg.LeaseTTL)
-			fu.holder = "local"
-			f.leased[fu.id] = fu
-			f.event("grant", fu.id, fu.epoch)
-			return &LeasedUnit{ID: fu.id, Epoch: fu.epoch, Snapshot: fu.snap, Deadline: fu.deadline}, nil
+			return f.grantLocked("local"), nil
 		}
 		if len(f.leased) == 0 {
 			return nil, nil
@@ -344,27 +329,27 @@ func (f *MemFrontier) CompleteReport(id, epoch uint64, rep UnitReport) (stale bo
 	}
 	delete(f.leased, id)
 	f.unitsDone++
-	f.execs += rep.Executions
-	f.steps += rep.Steps
-	f.pruned += rep.Pruned
-	f.prefixForks += rep.PrefixForks
-	f.stepsSaved += rep.StepsSaved
-	f.races += rep.RaceReports
-	for i, c := range rep.Created {
-		f.created[i] += c
-	}
-	f.stats.RPCRetries += rep.RPCRetries
-	for _, b := range rep.Bugs {
-		key := b.Kind.String() + ":" + b.Message
-		if !f.seen[key] {
-			f.seen[key] = true
-			f.bugs = append(f.bugs, b)
-		}
-	}
-	f.addLocked(rep.Remainder)
+	f.creditLocked(rep)
 	f.event("complete", id, epoch)
 	f.cond.Broadcast()
 	return false
+}
+
+// Credit folds a report that settles no lease — a resumed checkpoint's
+// totals, bugs and outstanding units (as Remainder) — into the frontier.
+func (f *MemFrontier) Credit(rep UnitReport) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.creditLocked(rep)
+}
+
+func (f *MemFrontier) creditLocked(rep UnitReport) {
+	f.tally.Add(rep.Tally)
+	f.stats.RPCRetries += rep.RPCRetries
+	for _, b := range rep.Bugs {
+		f.bugs.Add(b)
+	}
+	f.addLocked(rep.Remainder)
 }
 
 // Complete implements Frontier.
@@ -424,30 +409,12 @@ func (f *MemFrontier) Idle() bool {
 	return len(f.queue) == 0 && len(f.leased) == 0
 }
 
-// Progress returns the frontier's accumulated totals: executions, steps,
-// per-kind decision-point counts, the deduplicated bugs so far, and the
-// queued/leased unit counts.
-func (f *MemFrontier) Progress() (execs int, steps int64, created [NumDecisionKinds]int, bugs []Bug, queued, leased int) {
+// Totals returns the frontier's accumulated tally, the deduplicated
+// bugs so far, and the queued/leased unit counts.
+func (f *MemFrontier) Totals() (t Tally, bugs []Bug, queued, leased int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.execs, f.steps, f.created, append([]Bug(nil), f.bugs...), len(f.queue), len(f.leased)
-}
-
-// ReductionTotals returns the accumulated state-space reduction and
-// prefix-fork counters from completion reports; the distributed
-// coordinator folds them into its final Stats.
-func (f *MemFrontier) ReductionTotals() (pruned, prefixForks, stepsSaved int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.pruned, f.prefixForks, f.stepsSaved
-}
-
-// RaceReportTotal returns the accumulated happens-before race-report
-// count (pre-dedup) from completion reports.
-func (f *MemFrontier) RaceReportTotal() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.races
+	return f.tally, append([]Bug(nil), f.bugs.List()...), len(f.queue), len(f.leased)
 }
 
 // UnitCounts returns how many units were ever added and how many were
@@ -459,22 +426,30 @@ func (f *MemFrontier) UnitCounts() (added, done int) {
 	return f.unitsAdded, f.unitsDone
 }
 
-// OutstandingSnapshots returns the snapshots of every queued and leased
-// unit — the unexplored frontier a checkpoint must capture. Leased units
-// are included with their *pre-lease* snapshot: their holder's progress
-// is unreported until completion, so the checkpoint conservatively
-// re-explores them on resume rather than losing them.
-func (f *MemFrontier) OutstandingSnapshots() [][]byte {
+// FillCheckpoint stores the frontier's state in cp, read under one lock:
+// the snapshot of every queued and leased unit, the bugs, and the tally
+// less the decision points those units carry (a resume credits them
+// again, see Resume.Total). Leased units are included with their
+// *pre-lease* snapshot: their holder's progress is unreported until
+// completion, so the checkpoint conservatively re-explores them on
+// resume rather than losing them.
+func (f *MemFrontier) FillCheckpoint(cp *Checkpoint) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([][]byte, 0, len(f.queue)+len(f.leased))
+	cp.Units = make([][]byte, 0, len(f.queue)+len(f.leased))
 	for _, u := range f.queue {
-		out = append(out, u.snap)
+		cp.Units = append(cp.Units, u.snap)
 	}
 	for _, u := range f.leased {
-		out = append(out, u.snap)
+		cp.Units = append(cp.Units, u.snap)
 	}
-	return out
+	cp.Tally, cp.Bugs = f.tally, append([]Bug(nil), f.bugs.List()...)
+	f.mu.Unlock()
+	for _, raw := range cp.Units {
+		tr := decision.NewTree()
+		if tr.Restore(raw) == nil {
+			cp.Tally = cp.Tally.Sub(unitTally(tr))
+		}
+	}
 }
 
 // Close stops the janitor and wakes every blocked Lease call.

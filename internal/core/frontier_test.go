@@ -55,15 +55,15 @@ func TestFrontierLeaseLifecycle(t *testing.T) {
 	if u2, done2 := f.TryLease("w2"); u2 != nil || done2 {
 		t.Fatalf("second TryLease = (%v, %v), want (nil, false): the only unit is leased", u2, done2)
 	}
-	if stale := f.CompleteReport(u.ID, u.Epoch, UnitReport{Executions: 7}); stale {
+	if stale := f.CompleteReport(u.ID, u.Epoch, UnitReport{Tally: Tally{Executions: 7}}); stale {
 		t.Fatal("in-epoch completion rejected as stale")
 	}
 	if !f.Done() {
 		t.Fatal("frontier not done after its only unit completed")
 	}
-	execs, _, _, _, queued, leased := f.Progress()
-	if execs != 7 || queued != 0 || leased != 0 {
-		t.Fatalf("Progress = (execs %d, queued %d, leased %d), want (7, 0, 0)", execs, queued, leased)
+	tally, _, queued, leased := f.Totals()
+	if tally.Executions != 7 || queued != 0 || leased != 0 {
+		t.Fatalf("Totals = (execs %d, queued %d, leased %d), want (7, 0, 0)", tally.Executions, queued, leased)
 	}
 	if added, done := f.UnitCounts(); added != 1 || done != 1 {
 		t.Fatalf("UnitCounts = (%d, %d), want (1, 1)", added, done)
@@ -106,23 +106,23 @@ func TestFrontierExpiryReclaim(t *testing.T) {
 
 	// The crasher comes back from the dead and reports: rejected, and
 	// nothing is double-counted.
-	if stale := f.CompleteReport(u.ID, u.Epoch, UnitReport{Executions: 99}); !stale {
+	if stale := f.CompleteReport(u.ID, u.Epoch, UnitReport{Tally: Tally{Executions: 99}}); !stale {
 		t.Fatal("stale-epoch completion accepted")
 	}
 	if f.Stats().StaleRejects != 1 {
 		t.Fatalf("StaleRejects = %d, want 1", f.Stats().StaleRejects)
 	}
-	if execs, _, _, _, _, _ := f.Progress(); execs != 0 {
-		t.Fatalf("stale completion leaked %d executions into the totals", execs)
+	if tally, _, _, _ := f.Totals(); tally.Executions != 0 {
+		t.Fatalf("stale completion leaked %d executions into the totals", tally.Executions)
 	}
 
 	// The successor's completion under the current epoch is the
 	// authoritative one.
-	if stale := f.CompleteReport(u2.ID, u2.Epoch, UnitReport{Executions: 3}); stale {
+	if stale := f.CompleteReport(u2.ID, u2.Epoch, UnitReport{Tally: Tally{Executions: 3}}); stale {
 		t.Fatal("current-epoch completion rejected")
 	}
-	if execs, _, _, _, _, _ := f.Progress(); execs != 3 {
-		t.Fatalf("executions = %d, want 3 (successor's report only)", execs)
+	if tally, _, _, _ := f.Totals(); tally.Executions != 3 {
+		t.Fatalf("executions = %d, want 3 (successor's report only)", tally.Executions)
 	}
 	if !f.Done() {
 		t.Fatal("frontier not done after the authoritative completion")
@@ -198,7 +198,7 @@ func TestFrontierBugDedup(t *testing.T) {
 	u2, _ := f.TryLease("b")
 	f.CompleteReport(u1.ID, u1.Epoch, UnitReport{Bugs: []Bug{bug}})
 	f.CompleteReport(u2.ID, u2.Epoch, UnitReport{Bugs: []Bug{bug}})
-	_, _, _, bugs, _, _ := f.Progress()
+	_, bugs, _, _ := f.Totals()
 	if len(bugs) != 1 {
 		t.Fatalf("got %d bugs after dedup, want 1", len(bugs))
 	}

@@ -87,7 +87,7 @@ func (ck *Checker) maybeInjectFailure(t *Thread, eff memmodel.FlushEffect) bool 
 		return false
 	}
 	if ck.reduce && ck.pruneFailurePoint(t) {
-		ck.stats.Pruned++
+		ck.tally.Pruned++
 		ck.om.pruned.Inc()
 		// Report only observer-free prunes to the op-stream observer:
 		// those are the author-actionable "a crash here is untestable"

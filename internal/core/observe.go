@@ -313,9 +313,9 @@ func (e *engine) progress() Progress {
 	defer e.mu.Unlock()
 	sinceStart := time.Since(e.start)
 	p := Progress{
-		Executions:       e.execs,
-		Steps:            e.steps,
-		Bugs:             len(e.bugs),
+		Executions:       e.tally.Executions,
+		Steps:            e.tally.Steps,
+		Bugs:             len(e.bugs.List()),
 		Queued:           len(e.queue),
 		Spilled:          len(e.spilled),
 		Active:           e.active,
@@ -329,7 +329,7 @@ func (e *engine) progress() Progress {
 		Workers:          append([]WorkerStatus(nil), e.workers...),
 	}
 	e.om.heapBytes.Set(int64(ms.HeapAlloc))
-	localExecs := e.execs - e.baseExecs
+	localExecs := e.tally.Executions - e.baseExecs
 	if sec := sinceStart.Seconds(); sec > 0 {
 		p.ExecRate = float64(localExecs) / sec
 	}

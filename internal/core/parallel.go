@@ -24,8 +24,8 @@ package core
 // unit at its next execution boundary (or releases the unit back to the
 // queue), and the last depositor writes the file. A checkpoint is
 // therefore always a consistent frontier: deposited units + queued
-// units partition exactly the unexplored part of the tree, and
-// BaseCreated carries the finished units' decision-point counts.
+// units partition exactly the unexplored part of the tree, and the
+// tally's Created carries the finished units' decision-point counts.
 //
 // A single worker degenerates to the serial loop — same boundary-check
 // order, no donation (nobody is hungry), exact MaxExecutions cutoff —
@@ -37,7 +37,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -47,11 +46,11 @@ import (
 
 // spillEntry is a frontier unit parked on disk by the resource governor:
 // the snapshot bytes live in a file under Config.SpillDir, and only the
-// unit's decision-point counters stay in memory (they feed Stats and the
+// unit's decision-point counts stay in memory (they feed Stats and the
 // final totals even if the unit is never reloaded).
 type spillEntry struct {
-	path    string
-	created [numDecisionKinds]int
+	path  string
+	tally Tally
 }
 
 // engine coordinates the worker pool for one Run.
@@ -74,24 +73,14 @@ type engine struct {
 	queue  []*decision.Tree
 	active int
 	hungry int
-	// execs is the global execution counter; workers reserve an ordinal
-	// under mu before each execution, which makes MaxExecutions an exact
-	// global cutoff (no overshoot even with many workers).
-	execs int
-	steps int64
-	// pruned/prefixForks/stepsSaved accumulate the reduction and
-	// prefix-fork counters merged from workers at execution boundaries
-	// (plus a resumed checkpoint's cumulative totals); races accumulates
-	// the pre-dedup happens-before race-report count the same way.
-	pruned      int64
-	prefixForks int64
-	stepsSaved  int64
-	races       int64
-	// created accumulates decision-point counters of completed units,
-	// plus the BaseCreated of a resumed checkpoint.
-	created [numDecisionKinds]int
-	bugs    []Bug
-	seen    map[string]bool
+	// tally sums the workers' counters, merged at execution boundaries,
+	// on top of a resumed checkpoint's. Its Executions is the global
+	// execution counter: workers reserve an ordinal under mu before each
+	// execution, which makes MaxExecutions an exact global cutoff (no
+	// overshoot even with many workers). Its Created covers completed
+	// units only; outstanding units carry their own counts.
+	tally Tally
+	bugs  BugSet
 	// stopFlag tells workers to release their units and exit; set on
 	// bug-stop, MaxExecutions, MaxTime, Stop and failure.
 	stopFlag    bool
@@ -157,25 +146,25 @@ type engine struct {
 	// subtree units from rf instead of seeding a local tree; leases maps
 	// every live tree back to the lease it derives from (Split children
 	// inherit the parent's ref), and when a lease's last tree retires a
-	// completion report carrying the engine's unreported stats deltas is
-	// dispatched. leaseOut serializes the blocking Lease fetch across
-	// hungry workers; remoteDone latches once the frontier reports the
-	// exploration finished. leaseStop mirrors a local stop into a blocked
-	// Lease call (cond.Wait cannot watch a channel, and neither can an
-	// HTTP long-poll watch our mutex). pending tracks in-flight
-	// completion/donation RPC goroutines so run() can drain them.
+	// completion report carrying tally − reported (and the bugs past
+	// reportedBugs) is dispatched. reported.Created also absorbs unit
+	// migration: a leased unit's embedded counts were credited by
+	// whoever produced them, and a tree that leaves (donated or flushed)
+	// is this worker's to credit, since its next holder baselines its
+	// counts away. So the frontier's sum of reports partitions exactly
+	// no matter how often units migrate. leaseOut serializes the
+	// blocking Lease fetch across hungry workers; remoteDone latches once
+	// the frontier reports the exploration finished. leaseStop mirrors a
+	// local stop into a blocked Lease call (cond.Wait cannot watch a
+	// channel, and neither can an HTTP long-poll watch our mutex).
+	// pending tracks in-flight completion/donation RPC goroutines so
+	// run() can drain them.
 	rf              Frontier
 	remoteDone      bool
 	leaseOut        bool
 	leases          map[*decision.Tree]*leaseRef
-	pendingCreated  [numDecisionKinds]int
-	repExecs        int
-	repSteps        int64
-	repBugs         int
-	repPruned       int64
-	repForks        int64
-	repSaved        int64
-	repRaces        int64
+	reported        Tally
+	reportedBugs    int
 	leaseStop       chan struct{}
 	leaseStopClosed bool
 	pending         sync.WaitGroup
@@ -185,14 +174,6 @@ type engine struct {
 type leaseRef struct {
 	lu          *LeasedUnit
 	outstanding int
-}
-
-// treeCreated reads a tree's per-kind decision-point counters.
-func treeCreated(tr *decision.Tree) (c [numDecisionKinds]int) {
-	c[decision.KindReadFrom] = tr.Created(decision.KindReadFrom)
-	c[decision.KindFailure] = tr.Created(decision.KindFailure)
-	c[decision.KindPoison] = tr.Created(decision.KindPoison)
-	return c
 }
 
 // worker is the per-goroutine exploration state.
@@ -205,15 +186,11 @@ type worker struct {
 	hook decision.Hook
 	// lastRound is the last checkpoint round this worker deposited in.
 	lastRound int
-	// mergedSteps/mergedBugs (and the reduction counters below) track how
-	// much of the private checker's state has been folded into the
-	// engine, so boundary merges are incremental.
-	mergedSteps  int64
-	mergedBugs   int
-	mergedPruned int64
-	mergedForks  int64
-	mergedSaved  int64
-	mergedRaces  int64
+	// merged/mergedBugs track how much of the private checker's tally
+	// and bugs has been folded into the engine, so boundary merges are
+	// incremental.
+	merged     Tally
+	mergedBugs int
 	// poolEpoch lags engine.poolEpoch; a mismatch at a boundary means the
 	// governor asked for pooled arenas to be released.
 	poolEpoch int
@@ -225,8 +202,6 @@ func newEngine(cfg Config, program func(*Program), progDigest string) *engine {
 		program:    program,
 		cfgDigest:  configDigest(cfg),
 		progDigest: progDigest,
-		seen:       make(map[string]bool),
-		cpRound:    0,
 	}
 	e.cond = sync.NewCond(&e.mu)
 	if cfg.Frontier != nil {
@@ -253,39 +228,31 @@ func (e *engine) seedFrontier() (*Result, error) {
 	if e.rf != nil {
 		// Distributed worker: the frontier's owner seeds and persists the
 		// exploration; this process only leases units from it.
-		e.lastCPExecs, e.lastCPTime = e.execs, e.start
+		e.lastCPExecs, e.lastCPTime = e.tally.Executions, e.start
 		return nil, nil
 	}
 	if e.cfg.CheckpointPath != "" {
-		cp, err := loadCheckpoint(e.cfg.CheckpointPath, e.cfg.Chaos)
-		if err == nil && cp != nil {
-			err = e.adoptCheckpoint(cp)
-			if err == nil && (cp.Complete || len(e.queue) == 0) {
+		r, quarantined, err := ResumeCheckpoint(e.cfg.CheckpointPath, e.cfg.Chaos, e.cfg.Seed, e.cfgDigest, e.progDigest)
+		switch {
+		case err != nil:
+			return nil, err
+		case quarantined:
+			e.quarantined = true
+			e.om.cpQuarantines.Inc()
+			e.tracer.RecordS(-1, obs.EvCheckpointQuarantine, 0, e.cfg.CheckpointPath)
+		case r != nil:
+			e.adoptCheckpoint(r)
+			if r.Complete || len(e.queue) == 0 {
 				// The checkpointed exploration already finished; return its
 				// result without re-exploring anything.
 				return e.result(true), nil
 			}
 		}
-		if err != nil {
-			// An undecodable checkpoint is quarantined (renamed aside for
-			// post-mortems) and the run starts fresh; identity mismatches
-			// and version skew stay hard errors — see loadCheckpoint.
-			var corrupt *corruptCheckpointError
-			if !errors.As(err, &corrupt) {
-				return nil, err
-			}
-			if qerr := quarantineCheckpoint(e.cfg.CheckpointPath, e.cfg.Chaos); qerr != nil {
-				return nil, fmt.Errorf("%w (and quarantining it failed: %v)", err, qerr)
-			}
-			e.quarantined = true
-			e.om.cpQuarantines.Inc()
-			e.tracer.RecordS(-1, obs.EvCheckpointQuarantine, 0, e.cfg.CheckpointPath)
-		}
 	}
 	if !e.resumed {
 		e.queue = []*decision.Tree{decision.NewTree()}
 	}
-	e.lastCPExecs, e.lastCPTime = e.execs, e.start
+	e.lastCPExecs, e.lastCPTime = e.tally.Executions, e.start
 	return nil, nil
 }
 
@@ -336,7 +303,6 @@ func (e *engine) run() (*Result, error) {
 			ck: &Checker{
 				cfg:        e.cfg,
 				program:    e.program,
-				seen:       make(map[string]bool),
 				cfgDigest:  e.cfgDigest,
 				progDigest: e.progDigest,
 				deadline:   e.deadline,
@@ -386,18 +352,13 @@ func (e *engine) run() (*Result, error) {
 	if e.cfg.Workers > 1 {
 		// Discovery order is nondeterministic across workers; report bugs
 		// in a stable order instead.
-		sort.SliceStable(e.bugs, func(i, j int) bool {
-			if e.bugs[i].Kind != e.bugs[j].Kind {
-				return e.bugs[i].Kind < e.bugs[j].Kind
-			}
-			return e.bugs[i].Message < e.bugs[j].Message
-		})
+		SortBugs(e.bugs.List())
 	}
 	if e.rf == nil {
 		// In distributed mode the coordinator minimizes the globally
 		// merged bug set instead, so every worker finding the same bug
 		// doesn't pay the replay cost; see dist.Coordinator.
-		minimizeBugTokens(e.cfg, e.program, e.progDigest, e.bugs)
+		minimizeBugTokens(e.cfg, e.program, e.progDigest, e.bugs.List())
 	}
 	res := e.result(complete)
 	if e.cfg.CheckpointPath != "" {
@@ -430,43 +391,29 @@ func (e *engine) cleanupSpills() {
 // counters are the completed units' totals plus whatever the still-queued
 // (or still-spilled) units created before being released.
 func (e *engine) result(complete bool) *Result {
-	created := e.created
+	t := e.tally
 	for _, tr := range e.queue {
-		created[decision.KindReadFrom] += tr.Created(decision.KindReadFrom)
-		created[decision.KindFailure] += tr.Created(decision.KindFailure)
-		created[decision.KindPoison] += tr.Created(decision.KindPoison)
+		t.Add(unitTally(tr))
 	}
 	for _, ent := range e.spilled {
-		for i, c := range ent.created {
-			created[i] += c
-		}
+		t.Add(ent.tally)
 	}
-	stats := Stats{
-		Executions:       e.execs,
-		FailurePoints:    created[decision.KindFailure],
-		ReadFromPoints:   created[decision.KindReadFrom],
-		PoisonPoints:     created[decision.KindPoison],
-		Steps:            e.steps,
-		Pruned:           e.pruned,
-		PrefixForks:      e.prefixForks,
-		StepsSaved:       e.stepsSaved,
-		RaceReports:      e.races,
-		Elapsed:          e.prior + time.Since(e.start),
-		Complete:         complete,
-		Interrupted:      e.interrupted,
-		Resumed:          e.resumed,
-		Degraded:         e.degraded,
-		Spills:           e.spills,
-		CheckpointErrors: e.cpErrs,
-		Quarantined:      e.quarantined,
-	}
+	stats := t.Stats()
+	stats.Elapsed = e.prior + time.Since(e.start)
+	stats.Complete = complete
+	stats.Interrupted = e.interrupted
+	stats.Resumed = e.resumed
+	stats.Degraded = e.degraded
+	stats.Spills = e.spills
+	stats.CheckpointErrors = e.cpErrs
+	stats.Quarantined = e.quarantined
 	if e.rf != nil {
 		fs := e.rf.Stats()
 		stats.LeaseReclaims = fs.Reclaims
 		stats.RPCRetries = fs.RPCRetries
 		stats.StaleCompletions = fs.StaleRejects
 	}
-	return &Result{Stats: stats, Bugs: e.bugs, Seed: e.cfg.Seed, GPF: e.cfg.GPF}
+	return &Result{Stats: stats, Bugs: e.bugs.List(), Seed: e.cfg.Seed, GPF: e.cfg.GPF}
 }
 
 // frontierSnapshotsLocked collects the full unexplored frontier as unit
@@ -507,13 +454,7 @@ func (e *engine) envelope(units [][]byte, complete bool) *checkpointData {
 		ConfigDigest:     e.cfgDigest,
 		ProgramDigest:    e.progDigest,
 		Units:            units,
-		BaseCreated:      e.created,
-		Executions:       e.execs,
-		Steps:            e.steps,
-		Pruned:           e.pruned,
-		PrefixForks:      e.prefixForks,
-		StepsSaved:       e.stepsSaved,
-		RaceReports:      e.races,
+		Tally:            e.tally,
 		Elapsed:          e.prior + time.Since(e.start),
 		Complete:         complete,
 		Interrupted:      e.interrupted,
@@ -521,88 +462,34 @@ func (e *engine) envelope(units [][]byte, complete bool) *checkpointData {
 		Spills:           e.spills,
 		CheckpointErrors: e.cpErrs,
 		Quarantined:      e.quarantined,
-		Bugs:             e.bugs,
+		Bugs:             e.bugs.List(),
 	}
 }
 
-// adoptCheckpoint validates cp against this run's identity and restores
-// the exploration frontier from it.
-func (e *engine) adoptCheckpoint(cp *checkpointData) error {
-	path := e.cfg.CheckpointPath
-	if cp.Seed != e.cfg.Seed {
-		return fmt.Errorf("cxlmc: checkpoint %s was written for seed %d, this run uses seed %d: delete the checkpoint or match the seed",
-			path, cp.Seed, e.cfg.Seed)
-	}
-	if cp.ConfigDigest != e.cfgDigest {
-		return fmt.Errorf("cxlmc: checkpoint %s was written under a different configuration (digest %s, this run %s): GPF/Poison/MaxStepsPerExec/MemSize/MaxEventsPerExec/Reduction/RaceDetect must match",
-			path, cp.ConfigDigest, e.cfgDigest)
-	}
-	if cp.ProgramDigest != e.progDigest {
-		return fmt.Errorf("cxlmc: checkpoint %s was written for a different program (digest %s, this program %s): the program structure changed since the checkpoint",
-			path, cp.ProgramDigest, e.progDigest)
-	}
-	// Stage every unit before mutating engine state: a snapshot that does
-	// not decode marks the whole checkpoint corrupt (quarantined by the
-	// caller), and a half-adopted frontier must not leak into the fresh
-	// start that follows.
-	var queue []*decision.Tree
-	var finished [numDecisionKinds]int
-	for _, raw := range cp.Units {
-		tr := decision.NewTree()
-		if err := tr.Restore(raw); err != nil {
-			return &corruptCheckpointError{path: path, err: err}
-		}
-		if !tr.Done() {
-			queue = append(queue, tr)
-		} else {
-			// A finished unit's counters still belong in the totals.
-			finished[decision.KindReadFrom] += tr.Created(decision.KindReadFrom)
-			finished[decision.KindFailure] += tr.Created(decision.KindFailure)
-			finished[decision.KindPoison] += tr.Created(decision.KindPoison)
-		}
-	}
-	e.queue = queue
-	for i, c := range finished {
-		e.created[i] += c
-	}
-	e.execs = cp.Executions
-	e.steps = cp.Steps
-	e.pruned = cp.Pruned
-	e.prefixForks = cp.PrefixForks
-	e.stepsSaved = cp.StepsSaved
-	e.races = cp.RaceReports
-	e.prior = cp.Elapsed
+// adoptCheckpoint restores the frontier and the cumulative state of a
+// resumed checkpoint (see ResumeCheckpoint).
+func (e *engine) adoptCheckpoint(r *Resume) {
+	e.queue = r.Trees
+	e.tally = r.Tally
+	e.prior = r.Elapsed
 	// Resilience counters are cumulative across the whole exploration,
 	// not per-process: a resumed run must carry forward how degraded the
 	// road here was, or Stats would under-report spills, checkpoint
 	// failures and quarantines that happened before the interruption.
 	// (Checkpoints written by older builds decode these as zeros.)
-	e.degraded = e.degraded || cp.Degraded
-	e.spills += cp.Spills
-	e.cpErrs += cp.CheckpointErrors
-	e.quarantined = e.quarantined || cp.Quarantined
-	for i, c := range cp.BaseCreated {
-		e.created[i] += c
-	}
-	e.bugs = append([]Bug(nil), cp.Bugs...)
-	for _, b := range e.bugs {
-		e.seen[b.Kind.String()+":"+b.Message] = true
+	e.degraded, e.spills, e.cpErrs, e.quarantined = r.Degraded, r.Spills, r.CheckpointErrors, r.Quarantined
+	for _, b := range r.Bugs {
+		e.bugs.Add(b)
 	}
 	e.resumed = true
 	// Seed the process-lifetime metrics with the inherited totals so
 	// /statusz and /metrics agree with Stats; baseExecs keeps the
 	// exec-rate estimate honest about what THIS process has done.
-	e.baseExecs = cp.Executions
-	e.om.execs.Add(int64(cp.Executions))
-	e.om.steps.Add(cp.Steps)
-	e.om.pruned.Add(cp.Pruned)
-	e.om.prefixForks.Add(cp.PrefixForks)
-	e.om.stepsSaved.Add(cp.StepsSaved)
-	e.om.races.Add(cp.RaceReports)
-	e.om.bugs.Add(int64(len(cp.Bugs)))
-	e.om.spillsC.Add(int64(cp.Spills))
-	e.om.cpErrors.Add(int64(cp.CheckpointErrors))
-	return nil
+	e.baseExecs = r.Executions
+	r.Tally.addTo(e.om)
+	e.om.bugs.Add(int64(len(r.Bugs)))
+	e.om.spillsC.Add(int64(r.Spills))
+	e.om.cpErrors.Add(int64(r.CheckpointErrors))
 }
 
 // take blocks until a unit is available (returning it) or the run is
@@ -718,18 +605,13 @@ func (e *engine) leasePumpLocked(w *worker) {
 			// A unit with nothing left to explore (a resumed checkpoint
 			// can carry them): complete it immediately, crediting its
 			// embedded decision-point counts, and pump again.
-			var rep UnitReport
-			rep.Created = treeCreated(tr)
-			e.completeAsync(lu, rep)
+			e.completeAsync(lu, UnitReport{Tally: unitTally(tr)})
 			return
 		}
 		// The unit arrives with the decision-point counts of its past
-		// life embedded; subtracting them here means reports only ever
-		// carry what THIS worker contributed, so the coordinator's sum of
-		// deltas partitions exactly no matter how often units migrate.
-		for k, c := range treeCreated(tr) {
-			e.pendingCreated[k] -= c
-		}
+		// life embedded, already credited upstream: count them as
+		// reported, so reports carry only what THIS worker contributed.
+		e.reported.Add(unitTally(tr))
 		e.leases[tr] = &leaseRef{lu: lu, outstanding: 1}
 		e.queue = append(e.queue, tr)
 	}
@@ -752,26 +634,17 @@ func (e *engine) adoptSplitLocked(parent *decision.Tree, units []*decision.Tree)
 	}
 }
 
-// reportDeltaLocked assembles the stats delta since the previous report:
-// executions, steps, decision points and newly found bugs. An individual
-// report's Created can go negative (a lease adopted with large embedded
-// counts, most of which were donated onward); the coordinator only ever
-// sums deltas, so partition-exactness is what matters.
+// reportDeltaLocked assembles the tally delta and the newly found bugs
+// since the previous report. An individual report's Created can go
+// negative (a lease adopted with large embedded counts, most of which
+// were donated onward); the coordinator only ever sums deltas, so
+// partition-exactness is what matters.
 func (e *engine) reportDeltaLocked() UnitReport {
 	rep := UnitReport{
-		Executions:  e.execs - e.repExecs,
-		Steps:       e.steps - e.repSteps,
-		Pruned:      e.pruned - e.repPruned,
-		PrefixForks: e.prefixForks - e.repForks,
-		StepsSaved:  e.stepsSaved - e.repSaved,
-		RaceReports: e.races - e.repRaces,
-		Created:     e.pendingCreated,
-		Bugs:        append([]Bug(nil), e.bugs[e.repBugs:]...),
+		Tally: e.tally.Sub(e.reported),
+		Bugs:  append([]Bug(nil), e.bugs.List()[e.reportedBugs:]...),
 	}
-	e.repExecs, e.repSteps, e.repBugs = e.execs, e.steps, len(e.bugs)
-	e.repPruned, e.repForks, e.repSaved = e.pruned, e.prefixForks, e.stepsSaved
-	e.repRaces = e.races
-	e.pendingCreated = [numDecisionKinds]int{}
+	e.reported, e.reportedBugs = e.tally, len(e.bugs.List())
 	return rep
 }
 
@@ -838,9 +711,7 @@ func (e *engine) donateLocked() {
 		for _, tr := range trees {
 			// The donated subtree's counts leave with it (its next holder
 			// baselines them away), so they are this worker's to report.
-			for k, c := range treeCreated(tr) {
-				e.pendingCreated[k] += c
-			}
+			e.reported = e.reported.Sub(unitTally(tr))
 			e.retireShareLocked(tr)
 		}
 	}()
@@ -865,9 +736,7 @@ func (e *engine) flushRemote() {
 		}
 		delete(e.leases, tr)
 		ref.outstanding--
-		for k, c := range treeCreated(tr) {
-			e.pendingCreated[k] += c
-		}
+		e.reported = e.reported.Sub(unitTally(tr))
 		i, ok := byRef[ref]
 		if !ok {
 			i = len(outs)
@@ -989,7 +858,7 @@ func (e *engine) runUnit(w *worker, tr *decision.Tree) {
 			// below only carves off un-taken branches; the pending path —
 			// and therefore the armed fork — survives it.)
 			ck.armFork()
-			if e.cfg.MaxExecutions > 0 && e.execs >= e.cfg.MaxExecutions {
+			if e.cfg.MaxExecutions > 0 && e.tally.Executions >= e.cfg.MaxExecutions {
 				e.stopLocked()
 				e.endUnitLocked(w, tr, true)
 				released = true
@@ -1024,8 +893,8 @@ func (e *engine) runUnit(w *worker, tr *decision.Tree) {
 			// (stage 3); the unit then returns to the queue for the final
 			// checkpoint like any other stop.
 			if (e.cfg.MemBudgetBytes > 0 || e.cfg.SpillDir != "") &&
-				e.execs-e.lastGovExecs >= e.cfg.GovernorEvery {
-				e.lastGovExecs = e.execs
+				e.tally.Executions-e.lastGovExecs >= e.cfg.GovernorEvery {
+				e.lastGovExecs = e.tally.Executions
 				e.governLocked()
 				if e.stopFlag {
 					e.endUnitLocked(w, tr, true)
@@ -1076,15 +945,15 @@ func (e *engine) runUnit(w *worker, tr *decision.Tree) {
 			return
 		}
 		// Reserve a global execution ordinal; exact MaxExecutions cutoff.
-		if e.cfg.MaxExecutions > 0 && e.execs >= e.cfg.MaxExecutions {
+		if e.cfg.MaxExecutions > 0 && e.tally.Executions >= e.cfg.MaxExecutions {
 			e.stopLocked()
 			e.endUnitLocked(w, tr, true)
 			released = true
 			e.mu.Unlock()
 			return
 		}
-		e.execs++
-		ck.stats.Executions = e.execs
+		e.tally.Executions++
+		ck.execNo = e.tally.Executions
 		e.om.execs.Inc()
 		e.workers[w.id].Executions++
 		e.mu.Unlock()
@@ -1095,32 +964,22 @@ func (e *engine) runUnit(w *worker, tr *decision.Tree) {
 }
 
 // mergeLocked folds the worker's per-execution deltas into the engine:
-// step counts and newly reported bugs (deduplicated globally).
+// its tally delta and newly reported bugs (deduplicated globally).
 func (e *engine) mergeLocked(w *worker) {
 	ck := w.ck
-	delta := ck.stats.Steps - w.mergedSteps
-	e.steps += delta
-	e.om.steps.Add(delta)
-	w.mergedSteps = ck.stats.Steps
-	e.pruned += ck.stats.Pruned - w.mergedPruned
-	w.mergedPruned = ck.stats.Pruned
-	e.prefixForks += ck.stats.PrefixForks - w.mergedForks
-	w.mergedForks = ck.stats.PrefixForks
-	e.stepsSaved += ck.stats.StepsSaved - w.mergedSaved
-	w.mergedSaved = ck.stats.StepsSaved
-	e.races += ck.stats.RaceReports - w.mergedRaces
-	w.mergedRaces = ck.stats.RaceReports
-	for _, b := range ck.bugs[w.mergedBugs:] {
-		key := b.Kind.String() + ":" + b.Message
-		if !e.seen[key] {
-			e.seen[key] = true
-			e.bugs = append(e.bugs, b)
+	d := ck.tally.Sub(w.merged)
+	w.merged = ck.tally
+	e.tally.Add(d)
+	e.om.steps.Add(d.Steps)
+	bugs := ck.bugs.List()
+	for _, b := range bugs[w.mergedBugs:] {
+		if e.bugs.Add(b) {
 			// Counted post-dedup, so the metric matches len(Result.Bugs).
 			e.om.bugs.Inc()
 			e.tracer.RecordS(w.id, obs.EvBugFound, int64(b.Execution), b.Message)
 		}
 	}
-	w.mergedBugs = len(ck.bugs)
+	w.mergedBugs = len(bugs)
 	e.workers[w.id].Depth = ck.tree.Depth()
 	e.syncGaugesLocked()
 }
@@ -1128,13 +987,8 @@ func (e *engine) mergeLocked(w *worker) {
 // finishUnitLocked retires an exhausted unit: its decision-point
 // counters move to the engine's completed totals.
 func (e *engine) finishUnitLocked(w *worker, tr *decision.Tree) {
-	for k, c := range treeCreated(tr) {
-		e.created[k] += c
-	}
+	e.tally.Add(unitTally(tr))
 	if e.rf != nil {
-		for k, c := range treeCreated(tr) {
-			e.pendingCreated[k] += c
-		}
 		e.retireShareLocked(tr)
 	}
 	e.unitsDone++
@@ -1252,11 +1106,7 @@ func (e *engine) spillOneLocked(tr *decision.Tree) bool {
 		os.Remove(path)
 		return false
 	}
-	var created [numDecisionKinds]int
-	created[decision.KindReadFrom] = tr.Created(decision.KindReadFrom)
-	created[decision.KindFailure] = tr.Created(decision.KindFailure)
-	created[decision.KindPoison] = tr.Created(decision.KindPoison)
-	e.spilled = append(e.spilled, spillEntry{path: path, created: created})
+	e.spilled = append(e.spilled, spillEntry{path: path, tally: unitTally(tr)})
 	e.spills++
 	e.om.spillsC.Inc()
 	e.tracer.Record(-1, obs.EvSpill, int64(e.spillSeq), int64(len(e.spilled)))
@@ -1268,7 +1118,7 @@ func (e *engine) dueLocked() bool {
 	if e.cfg.CheckpointPath == "" {
 		return false
 	}
-	if e.cfg.CheckpointEvery > 0 && e.execs-e.lastCPExecs >= e.cfg.CheckpointEvery {
+	if e.cfg.CheckpointEvery > 0 && e.tally.Executions-e.lastCPExecs >= e.cfg.CheckpointEvery {
 		return true
 	}
 	return e.cfg.CheckpointInterval > 0 && time.Since(e.lastCPTime) >= e.cfg.CheckpointInterval
@@ -1309,7 +1159,7 @@ func (e *engine) finishRoundLocked() {
 	}
 	e.cpArmed = false
 	e.cpUnits = e.cpUnits[:0]
-	e.lastCPExecs, e.lastCPTime = e.execs, time.Now()
+	e.lastCPExecs, e.lastCPTime = e.tally.Executions, time.Now()
 	if err != nil {
 		e.cpErrs++
 		e.om.cpErrors.Inc()

@@ -281,7 +281,7 @@ func eachWordRange(a Addr, size uint8, fn func(w Addr, lo, hi uint8)) {
 func (ck *Checker) reportRace(t *Thread, kind string, a Addr, size uint8, prevKind string, e *raceEpoch, w Addr) {
 	prev := ck.threads[e.tid]
 	base := w << 3
-	ck.stats.RaceReports++
+	ck.tally.RaceReports++
 	ck.om.races.Inc()
 	ck.reportBugHere(BugDataRace, fmt.Sprintf(
 		"data race: %s of [%#x,%#x) by %s/%s is unordered with %s of [%#x,%#x) by %s/%s",
@@ -309,7 +309,7 @@ func (ck *Checker) raceCheckExposed(t *Thread, b Addr, c memmodel.Candidate) {
 			if !ck.failed.Has(s.Machine) {
 				return
 			}
-			ck.stats.RaceReports++
+			ck.tally.RaceReports++
 			ck.om.races.Inc()
 			ck.reportBugHere(BugUnflushedPublish, fmt.Sprintf(
 				"unflushed publish exposed by crash: %s/%s reads σ%d at %#x on flagged line %d, losing unflushed store σ%d by failed machine %s",

@@ -134,7 +134,6 @@ func replayPath(cfg Config, program func(*Program), progDigest string, steps []d
 		cfg:        cfg,
 		program:    program,
 		tree:       decision.NewReplayTree(steps, lenient),
-		seen:       make(map[string]bool),
 		cfgDigest:  configDigest(cfg),
 		progDigest: progDigest,
 		replaying:  !lenient,
@@ -167,7 +166,7 @@ func replayPath(cfg Config, program func(*Program), progDigest string, steps []d
 		}
 	}()
 	ck.tree.Begin()
-	ck.stats.Executions = 1
+	ck.execNo = 1
 	ck.runOneExecution()
 	if ck.replayDiverged != nil {
 		return nil, nil, fmt.Errorf(
@@ -176,8 +175,12 @@ func replayPath(cfg Config, program func(*Program), progDigest string, steps []d
 	if ck.internalErr != nil {
 		return nil, nil, ck.internalErr
 	}
-	ck.finalizeStats(start, 0)
-	return &Result{Stats: ck.stats, Bugs: ck.bugs, Seed: cfg.Seed, GPF: cfg.GPF}, ck.tree.Path(), nil
+	t := ck.tally
+	t.Executions = 1
+	t.Add(unitTally(ck.tree))
+	stats := t.Stats()
+	stats.Elapsed = time.Since(start)
+	return &Result{Stats: stats, Bugs: ck.bugs.List(), Seed: cfg.Seed, GPF: cfg.GPF}, ck.tree.Path(), nil
 }
 
 // minimizeBugTokens rewrites every found bug's repro token after the

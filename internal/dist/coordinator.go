@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -64,17 +63,10 @@ type Coordinator struct {
 	mu          sync.Mutex
 	stopFlag    bool
 	interrupted bool
-	// Resumed-checkpoint baselines; live totals are base + frontier.
-	baseExecs   int
-	baseSteps   int64
-	basePruned  int64
-	baseForks   int64
-	baseSaved   int64
-	baseRaces   int64
-	baseCreated [core.NumDecisionKinds]int
-	baseBugs    []core.Bug
-	prior       time.Duration
-	resumed     bool
+	// prior is the wall-clock time credited from a resumed checkpoint;
+	// its counters and bugs live in the frontier (MemFrontier.Credit).
+	prior   time.Duration
+	resumed bool
 	// emptySeed marks a resume from a checkpoint with no outstanding
 	// units: the exploration is already complete and Wait returns at once
 	// (the frontier itself never reports Done without having held units).
@@ -148,15 +140,9 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c.mGrants = c.reg.Counter("cxlmc_lease_grants_total", "work-unit leases granted")
 	c.mDonated = c.reg.Counter("cxlmc_units_donated_total", "surplus work units donated back by workers")
 
-	units, err := c.seedUnits()
-	if err != nil {
+	if err := c.seedFrontier(); err != nil {
 		return nil, err
 	}
-	c.f = core.NewMemFrontier(core.MemFrontierConfig{
-		LeaseTTL: cfg.LeaseTTL,
-		OnEvent:  c.onLeaseEvent,
-	}, units)
-
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		c.f.Close()
@@ -169,92 +155,36 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-// seedUnits loads the initial frontier: the checkpoint's outstanding
-// units when resuming, otherwise a single fresh whole-tree unit.
-// Already-finished units from a checkpoint fold into the baselines
-// instead of being re-issued.
-func (c *Coordinator) seedUnits() ([][]byte, error) {
-	if c.cfg.CheckpointPath == "" {
-		return [][]byte{decision.NewTree().Snapshot()}, nil
-	}
-	cp, err := core.LoadCheckpoint(c.cfg.CheckpointPath, c.cfg.Chaos)
-	if err != nil {
-		if !core.IsCorruptCheckpoint(err) {
-			return nil, err
+// seedFrontier creates the frontier and seeds it: with the adopted
+// checkpoint's outstanding units, totals and bugs when resuming (see
+// core.ResumeCheckpoint, shared with single-process runs), otherwise
+// with a single fresh whole-tree unit.
+func (c *Coordinator) seedFrontier() error {
+	c.f = core.NewMemFrontier(core.MemFrontierConfig{
+		LeaseTTL: c.cfg.LeaseTTL,
+		OnEvent:  c.onLeaseEvent,
+	}, nil)
+	var r *core.Resume
+	if c.cfg.CheckpointPath != "" {
+		var err error
+		if r, c.quarantined, err = core.ResumeCheckpoint(c.cfg.CheckpointPath, c.cfg.Chaos,
+			c.cfg.Check.Seed, c.cfgDigest, c.progDigest); err != nil {
+			c.f.Close()
+			return err
 		}
-		if qerr := core.QuarantineCheckpoint(c.cfg.CheckpointPath, c.cfg.Chaos); qerr != nil {
-			return nil, fmt.Errorf("%w (and quarantining it failed: %v)", err, qerr)
-		}
-		c.quarantined = true
-		return [][]byte{decision.NewTree().Snapshot()}, nil
 	}
-	if cp == nil {
-		return [][]byte{decision.NewTree().Snapshot()}, nil
+	if r == nil {
+		c.f.Add([][]byte{decision.NewTree().Snapshot()})
+		return nil
 	}
-	if cp.Seed != c.cfg.Check.Seed {
-		return nil, fmt.Errorf("dist: checkpoint %s was written for seed %d, this run uses seed %d",
-			c.cfg.CheckpointPath, cp.Seed, c.cfg.Check.Seed)
-	}
-	if cp.ConfigDigest != c.cfgDigest || cp.ProgramDigest != c.progDigest {
-		return nil, fmt.Errorf("dist: checkpoint %s was written under a different configuration or program (digests %s/%s, this run %s/%s)",
-			c.cfg.CheckpointPath, cp.ConfigDigest, cp.ProgramDigest, c.cfgDigest, c.progDigest)
-	}
-	var units [][]byte
-	for _, raw := range cp.Units {
-		tr := decision.NewTree()
-		if err := tr.Restore(raw); err != nil {
-			// One undecodable unit marks the whole file corrupt, exactly
-			// like the single-process engine treats it.
-			if qerr := core.QuarantineCheckpoint(c.cfg.CheckpointPath, c.cfg.Chaos); qerr == nil {
-				c.quarantined = true
-				return [][]byte{decision.NewTree().Snapshot()}, nil
-			}
-			return nil, fmt.Errorf("dist: checkpoint %s unit does not decode: %w", c.cfg.CheckpointPath, err)
-		}
-		// The unit's embedded decision-point counts fold into the
-		// baseline whether or not it still has work: a checkpoint's
-		// BaseCreated excluded them (the single-process resume engine
-		// re-adds them at unit completion), but remote workers baseline
-		// embedded counts away at adoption and report net-new only, so
-		// the coordinator must credit them exactly once, here.
-		for k, n := range treeCounts(tr) {
-			c.baseCreated[k] += n
-		}
-		if tr.Done() {
-			continue
-		}
-		units = append(units, raw)
-	}
-	for k, n := range cp.BaseCreated {
-		c.baseCreated[k] += n
-	}
-	c.baseExecs = cp.Executions
-	c.baseSteps = cp.Steps
-	c.basePruned = cp.Pruned
-	c.baseForks = cp.PrefixForks
-	c.baseSaved = cp.StepsSaved
-	c.baseRaces = cp.RaceReports
-	c.prior = cp.Elapsed
-	c.baseBugs = append([]core.Bug(nil), cp.Bugs...)
-	c.degraded = cp.Degraded
-	c.spills = cp.Spills
-	c.cpErrs = cp.CheckpointErrors
-	c.quarantined = c.quarantined || cp.Quarantined
+	c.f.Credit(core.UnitReport{Tally: r.Total(), Bugs: r.Bugs, Remainder: r.Units})
+	c.prior = r.Elapsed
+	c.degraded, c.spills, c.cpErrs, c.quarantined = r.Degraded, r.Spills, r.CheckpointErrors, r.Quarantined
 	c.resumed = true
-	if len(units) == 0 {
-		// Nothing left: Wait finishes immediately with the checkpointed
-		// result, and joining workers are told Done on their first lease.
-		c.emptySeed = true
-		return nil, nil
-	}
-	return units, nil
-}
-
-func treeCounts(tr *decision.Tree) (c [core.NumDecisionKinds]int) {
-	c[decision.KindReadFrom] = tr.Created(decision.KindReadFrom)
-	c[decision.KindFailure] = tr.Created(decision.KindFailure)
-	c[decision.KindPoison] = tr.Created(decision.KindPoison)
-	return c
+	// Nothing left: Wait finishes immediately with the checkpointed
+	// result, and joining workers are told Done on their first lease.
+	c.emptySeed = len(r.Units) == 0
+	return nil
 }
 
 // onLeaseEvent observes MemFrontier lease-table transitions (called with
@@ -316,14 +246,14 @@ func (c *Coordinator) withChaos(h http.HandlerFunc) http.HandlerFunc {
 }
 
 func (c *Coordinator) statusz() map[string]any {
-	execs, steps, _, bugs, queued, leased := c.f.Progress()
+	t, bugs, queued, leased := c.f.Totals()
 	fs := c.f.Stats()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return map[string]any{
 		"role":       "coordinator",
-		"executions": c.baseExecs + execs,
-		"steps":      c.baseSteps + steps,
+		"executions": t.Executions,
+		"steps":      t.Steps,
 		"bugs":       len(bugs),
 		"queued":     queued,
 		"leased":     leased,
@@ -531,27 +461,12 @@ func (c *Coordinator) checkpointLoop() {
 }
 
 // writeCheckpoint persists the current frontier in the single-process
-// checkpoint format. Outstanding units keep their embedded
-// decision-point counts, so the BaseCreated written here is the reported
-// totals MINUS those embedded counts — a resume (by a coordinator or a
-// plain single-process run) sums them back to exactly the same totals.
+// checkpoint format (see MemFrontier.FillCheckpoint), so a coordinator
+// or a plain single-process run can resume it.
 func (c *Coordinator) writeCheckpoint(complete bool) error {
-	execs, steps, created, bugs, _, _ := c.f.Progress()
-	pruned, forks, saved := c.f.ReductionTotals()
-	races := c.f.RaceReportTotal()
-	units := c.f.OutstandingSnapshots()
 	cp := core.NewCheckpoint(c.cfg.Check.Seed, c.cfgDigest, c.progDigest)
-	cp.Units = units
+	c.f.FillCheckpoint(cp)
 	c.mu.Lock()
-	for k := range cp.BaseCreated {
-		cp.BaseCreated[k] = c.baseCreated[k] + created[k]
-	}
-	cp.Executions = c.baseExecs + execs
-	cp.Steps = c.baseSteps + steps
-	cp.Pruned = c.basePruned + pruned
-	cp.PrefixForks = c.baseForks + forks
-	cp.StepsSaved = c.baseSaved + saved
-	cp.RaceReports = c.baseRaces + races
 	cp.Elapsed = c.prior + time.Since(c.start)
 	cp.Complete = complete
 	cp.Interrupted = c.interrupted
@@ -559,35 +474,8 @@ func (c *Coordinator) writeCheckpoint(complete bool) error {
 	cp.Spills = c.spills
 	cp.CheckpointErrors = c.cpErrs
 	cp.Quarantined = c.quarantined
-	cp.Bugs = mergeBugs(c.baseBugs, bugs)
 	c.mu.Unlock()
-	for _, raw := range units {
-		tr := decision.NewTree()
-		if err := tr.Restore(raw); err != nil {
-			continue
-		}
-		for k, n := range treeCounts(tr) {
-			cp.BaseCreated[k] -= n
-		}
-	}
 	return core.WriteCheckpoint(c.cfg.CheckpointPath, cp, c.cfg.Chaos)
-}
-
-// mergeBugs deduplicates base + fresh by (kind, message), keeping base's
-// instances first.
-func mergeBugs(base, fresh []core.Bug) []core.Bug {
-	seen := make(map[string]bool, len(base)+len(fresh))
-	out := make([]core.Bug, 0, len(base)+len(fresh))
-	for _, bs := range [][]core.Bug{base, fresh} {
-		for _, b := range bs {
-			key := b.Kind.String() + ":" + b.Message
-			if !seen[key] {
-				seen[key] = true
-				out = append(out, b)
-			}
-		}
-	}
-	return out
 }
 
 // Wait blocks until the exploration completes (every unit explored and
@@ -623,7 +511,7 @@ func (c *Coordinator) Wait(stop <-chan struct{}) (*core.Result, error) {
 			// Stopping: wait for outstanding leases to resolve (complete,
 			// flush, or expire and be reclaimed) so the final checkpoint
 			// holds every unexplored unit.
-			if _, _, _, _, _, leased := c.f.Progress(); leased == 0 {
+			if _, _, _, leased := c.f.Totals(); leased == 0 {
 				break
 			}
 		}
@@ -637,46 +525,25 @@ func (c *Coordinator) Wait(stop <-chan struct{}) (*core.Result, error) {
 	// their give-up timer fires.
 	time.Sleep(stopLinger)
 	c.srv.Close()
-	execs, steps, created, bugs, _, _ := c.f.Progress()
-	pruned, forks, saved := c.f.ReductionTotals()
-	races := c.f.RaceReportTotal()
+	t, bugs, _, _ := c.f.Totals()
 	fs := c.f.Stats()
 	c.f.Close()
+	stats := t.Stats()
 	c.mu.Lock()
-	merged := mergeBugs(c.baseBugs, bugs)
-	stats := core.Stats{
-		Executions:       c.baseExecs + execs,
-		Steps:            c.baseSteps + steps,
-		Pruned:           c.basePruned + pruned,
-		PrefixForks:      c.baseForks + forks,
-		StepsSaved:       c.baseSaved + saved,
-		RaceReports:      c.baseRaces + races,
-		Elapsed:          c.prior + time.Since(c.start),
-		Complete:         complete,
-		Interrupted:      c.interrupted,
-		Resumed:          c.resumed,
-		Degraded:         c.degraded,
-		Spills:           c.spills,
-		CheckpointErrors: c.cpErrs,
-		Quarantined:      c.quarantined,
-		LeaseReclaims:    fs.Reclaims,
-		RPCRetries:       fs.RPCRetries,
-		StaleCompletions: fs.StaleRejects,
-	}
-	for k := range created {
-		created[k] += c.baseCreated[k]
-	}
+	stats.Elapsed = c.prior + time.Since(c.start)
+	stats.Complete = complete
+	stats.Interrupted = c.interrupted
+	stats.Resumed = c.resumed
+	stats.Degraded = c.degraded
+	stats.Spills = c.spills
+	stats.CheckpointErrors = c.cpErrs
+	stats.Quarantined = c.quarantined
 	c.mu.Unlock()
-	stats.FailurePoints = created[decision.KindFailure]
-	stats.ReadFromPoints = created[decision.KindReadFrom]
-	stats.PoisonPoints = created[decision.KindPoison]
-	sort.SliceStable(merged, func(i, j int) bool {
-		if merged[i].Kind != merged[j].Kind {
-			return merged[i].Kind < merged[j].Kind
-		}
-		return merged[i].Message < merged[j].Message
-	})
-	core.MinimizeBugs(c.cfg.Check, c.cfg.Program, merged)
+	stats.LeaseReclaims = fs.Reclaims
+	stats.RPCRetries = fs.RPCRetries
+	stats.StaleCompletions = fs.StaleRejects
+	core.SortBugs(bugs)
+	core.MinimizeBugs(c.cfg.Check, c.cfg.Program, bugs)
 	if c.cfg.CheckpointPath != "" {
 		if err := c.writeCheckpoint(complete); err != nil {
 			// Like the engine, only a failed FINAL write fails the run:
@@ -691,7 +558,7 @@ func (c *Coordinator) Wait(stop <-chan struct{}) (*core.Result, error) {
 		}
 	}
 	c.tracer.Flush()
-	return &core.Result{Stats: stats, Bugs: merged, Seed: c.cfg.Check.Seed, GPF: c.cfg.Check.GPF}, nil
+	return &core.Result{Stats: stats, Bugs: bugs, Seed: c.cfg.Check.Seed, GPF: c.cfg.Check.GPF}, nil
 }
 
 // requestStop flips the stop flag; interrupted marks it operator-driven.

@@ -1,9 +1,11 @@
 package dist
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -12,6 +14,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/decision"
 	"repro/internal/recipe"
 	"repro/internal/recipe/cceh"
 )
@@ -304,7 +307,7 @@ func TestDistAbandonedLeaseReclaim(t *testing.T) {
 	err = tr.Call("/v1/complete", completeRequest{
 		Worker: "crasher", ReqID: "crasher-complete-1",
 		UnitID: lr.Unit.ID, Epoch: lr.Unit.Epoch,
-		Report: core.UnitReport{Executions: 999999},
+		Report: core.UnitReport{Tally: core.Tally{Executions: 999999}},
 	}, &cr)
 	if err == nil && !cr.Stale {
 		t.Fatal("stale completion from the dead worker was accepted")
@@ -323,7 +326,7 @@ func TestDistIdempotentRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := NewTransport(c.Addr(), TransportConfig{})
-	snap := [][]byte{c.f.OutstandingSnapshots()[0]}
+	snap := [][]byte{decision.NewTree().Snapshot()}
 
 	addedBefore, _ := c.f.UnitCounts()
 	var dr donateResponse
@@ -342,34 +345,24 @@ func TestDistIdempotentRequests(t *testing.T) {
 	c.Wait(stop)
 }
 
-// TestDistCoordinatorCrashResume: a coordinator is "SIGKILLed" mid-run
-// — its server and frontier are torn down with no final checkpoint,
-// leaving only the last periodic write — and a fresh coordinator
-// resuming from that file finishes the exploration with a result
-// identical to an uninterrupted single-process run.
-func TestDistCoordinatorCrashResume(t *testing.T) {
-	check := core.Config{ContinueAfterBug: true}
-	prog := ccehProgram(10)
-	base, err := core.Run(check, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpPath := filepath.Join(t.TempDir(), "dist.cp")
-
+// midRunCheckpoint leaves at path the checkpoint a coordinator
+// "SIGKILLed" mid-run would: a worker explores half of the total
+// executions (MaxExecutions is a budget knob, not part of the exploration
+// digest) and exits, its unexplored remainder flushes back to the
+// frontier, the last periodic write captures partial stats plus residue
+// units, and the coordinator dies with no Wait, no final checkpoint, no
+// graceful anything.
+func midRunCheckpoint(t *testing.T, check core.Config, prog func(*core.Program), path string, total int) {
+	t.Helper()
 	c1, err := StartCoordinator(CoordinatorConfig{
 		Check: check, Program: prog, Addr: "127.0.0.1:0",
-		CheckpointPath: cpPath, CheckpointInterval: time.Hour, // written by hand below
+		CheckpointPath: path, CheckpointInterval: time.Hour, // written by hand below
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// A worker explores a strict prefix of the tree (MaxExecutions is a
-	// budget knob, not part of the exploration digest) and exits: its
-	// unexplored remainder flushes back to the frontier, giving the
-	// checkpoint real mid-run content — partial stats plus residue units.
 	wc := check
-	wc.MaxExecutions = 40
+	wc.MaxExecutions = total / 2
 	if _, err := RunWorker(WorkerConfig{
 		Check: wc, Program: prog,
 		Coordinator: c1.Addr(), Name: "partial",
@@ -380,7 +373,7 @@ func TestDistCoordinatorCrashResume(t *testing.T) {
 	// real coordinator would have on disk.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, _, _, _, _, leased := c1.f.Progress(); leased == 0 {
+		if _, _, _, leased := c1.f.Totals(); leased == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -391,18 +384,21 @@ func TestDistCoordinatorCrashResume(t *testing.T) {
 	if err := c1.writeCheckpoint(false); err != nil {
 		t.Fatal(err)
 	}
-	midExecs, _, _, _, _, _ := c1.f.Progress()
-	if midExecs <= 0 || midExecs >= base.Executions {
-		t.Fatalf("mid-run checkpoint covers %d of %d executions; wanted a strict middle", midExecs, base.Executions)
+	if mid, _, _, _ := c1.f.Totals(); mid.Executions <= 0 || mid.Executions >= total {
+		t.Fatalf("mid-run checkpoint covers %d of %d executions; wanted a strict middle", mid.Executions, total)
 	}
-	// SIGKILL: no Wait, no final checkpoint, no graceful anything.
 	c1.srv.Close()
 	close(c1.cpStop)
 	c1.f.Close()
+}
 
-	c2, err := StartCoordinator(CoordinatorConfig{
+// resumeDistributed runs a coordinator resuming the checkpoint at path
+// with one worker to the end.
+func resumeDistributed(t *testing.T, check core.Config, prog func(*core.Program), path string) *core.Result {
+	t.Helper()
+	c, err := StartCoordinator(CoordinatorConfig{
 		Check: check, Program: prog, Addr: "127.0.0.1:0",
-		CheckpointPath: cpPath,
+		CheckpointPath: path,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -410,17 +406,120 @@ func TestDistCoordinatorCrashResume(t *testing.T) {
 	go func() {
 		RunWorker(WorkerConfig{
 			Check: check, Program: prog,
-			Coordinator: c2.Addr(), Name: "finisher",
+			Coordinator: c.Addr(), Name: "finisher",
 		})
 	}()
-	res, err := c2.Wait(nil)
+	res, err := c.Wait(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+// TestDistCoordinatorCrashResume: a coordinator is SIGKILLed mid-run,
+// leaving only its last periodic checkpoint, and a fresh coordinator
+// resuming from that file finishes the exploration with a result
+// identical to an uninterrupted single-process run.
+func TestDistCoordinatorCrashResume(t *testing.T) {
+	check := core.Config{ContinueAfterBug: true}
+	prog := ccehProgram(10)
+	base, err := core.Run(check, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpPath := filepath.Join(t.TempDir(), "dist.cp")
+	midRunCheckpoint(t, check, prog, cpPath, base.Executions)
+	res := resumeDistributed(t, check, prog, cpPath)
 	if !res.Resumed {
 		t.Fatal("resumed run not marked Resumed")
 	}
 	assertParity(t, "crash-resume", res, base)
+}
+
+// TestDistQuarantinePartialCheckpoint: a mid-run checkpoint whose last
+// unit does not decode is quarantined as a whole, and nothing from the
+// units that did decode before it leaks into the fresh start — the
+// finished run matches a single-process run exactly.
+func TestDistQuarantinePartialCheckpoint(t *testing.T) {
+	check := core.Config{ContinueAfterBug: true}
+	prog := ccehProgram(6)
+	base, err := core.Run(check, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpPath := filepath.Join(t.TempDir(), "dist.cp")
+	midRunCheckpoint(t, check, prog, cpPath, base.Executions)
+	raw, err := os.ReadFile(cpPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp core.Checkpoint
+	if err := json.Unmarshal(raw, &cp); err != nil {
+		t.Fatal(err)
+	}
+	cp.Units = append(cp.Units, []byte{0xDE, 0xAD, 0xBE, 0xEF})
+	if err := core.WriteCheckpoint(cpPath, &cp, nil); err != nil {
+		t.Fatal(err)
+	}
+	res := resumeDistributed(t, check, prog, cpPath)
+	if !res.Quarantined || res.Resumed {
+		t.Fatalf("quarantined=%v resumed=%v, want a quarantined fresh start", res.Quarantined, res.Resumed)
+	}
+	if _, err := os.Stat(cpPath + ".corrupt"); err != nil {
+		t.Fatalf("corrupt checkpoint not preserved: %v", err)
+	}
+	assertParity(t, "quarantine", res, base)
+}
+
+// TestDistCrossModeResume: the version-2 checkpoint is one format for
+// both modes. A coordinator's checkpoint resumes under core.Run at one
+// and four workers, and a core.Run checkpoint cut under one and four
+// workers resumes under a coordinator plus one worker; every resumed
+// run matches an uninterrupted single-process run.
+func TestDistCrossModeResume(t *testing.T) {
+	check := core.Config{ContinueAfterBug: true}
+	prog := ccehProgram(10)
+	base, err := core.Run(check, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	distCP := filepath.Join(t.TempDir(), "dist.cp")
+	midRunCheckpoint(t, check, prog, distCP, base.Executions)
+	raw, err := os.ReadFile(distCP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		label := fmt.Sprintf("coordinator→core.Run workers=%d", workers)
+		path := filepath.Join(t.TempDir(), "copy.cp")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cfg := check
+		cfg.Workers, cfg.CheckpointPath = workers, path
+		res, err := core.Run(cfg, prog)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if !res.Resumed {
+			t.Fatalf("%s: not marked Resumed", label)
+		}
+		assertParity(t, label, res, base)
+	}
+	for _, workers := range []int{1, 4} {
+		label := fmt.Sprintf("core.Run workers=%d→coordinator", workers)
+		path := filepath.Join(t.TempDir(), "local.cp")
+		cfg := check
+		cfg.Workers, cfg.CheckpointPath, cfg.MaxExecutions = workers, path, 40
+		if leg1, err := core.Run(cfg, prog); err != nil || leg1.Complete {
+			t.Fatalf("%s leg 1: err=%v complete=%v", label, err, leg1 != nil && leg1.Complete)
+		}
+		res := resumeDistributed(t, check, prog, path)
+		if !res.Resumed {
+			t.Fatalf("%s: not marked Resumed", label)
+		}
+		assertParity(t, label, res, base)
+	}
 }
 
 // TestDistChaosSweep: every network fault class at once — client-side

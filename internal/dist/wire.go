@@ -15,8 +15,13 @@
 // delays, duplicates, partitions, 5xx) never kill a run; a worker that
 // cannot reach the coordinator degrades to draining its local queue.
 // The coordinator checkpoints its frontier in the same version-2 format
-// single-process runs use, so a SIGKILL'd coordinator resumes losslessly
-// — and a single-process run can even resume a coordinator's checkpoint.
+// single-process runs use, and resumes through the same adoption
+// (core.ResumeCheckpoint: identity checks, every unit decoded before
+// anything is credited, quarantine on corruption). So a SIGKILL'd
+// coordinator resumes losslessly, a single-process run resumes a
+// coordinator's checkpoint, and a coordinator resumes a single-process
+// run's. Counters travel and sum as core.Tally values, bugs dedupe in
+// the frontier's core.BugSet; this package names no counter itself.
 package dist
 
 import "repro/internal/core"

@@ -532,7 +532,7 @@ func stressChaosLeg(seed int64, opts StressOptions, prog func(*cxlmc.Program), b
 func bugKeys(bugs []cxlmc.Bug) []string {
 	keys := make([]string, len(bugs))
 	for i, b := range bugs {
-		keys[i] = b.Kind.String() + ":" + b.Message
+		keys[i] = b.Key()
 	}
 	return keys
 }
