@@ -95,9 +95,10 @@
 // coordinator — it owns the frontier of subtree work units, serves the
 // lease API on addr, and (with -checkpoint) persists the frontier so a
 // SIGKILL'd coordinator resumes losslessly. -join addr runs a worker
-// that leases units from the coordinator at addr, explores them with its
-// local -workers pool, streams results back, and re-donates splits when
-// the cluster is hungry. Every lease carries a deadline (-lease-ttl) and
+// that leases one unit at a time from the coordinator at addr, explores
+// it with its local -workers pool, and settles the lease with its
+// results and unexplored remainder — early, when other workers starve,
+// so the remainder reaches them. Every lease carries a deadline (-lease-ttl) and
 // an epoch: units leased to crashed or wedged workers are reclaimed and
 // re-issued, stale completions are rejected idempotently, and the
 // distributed run reports exactly the bug set and repro tokens a

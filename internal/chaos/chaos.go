@@ -65,8 +65,8 @@ type Config struct {
 	// NetDelayDur is the injected network delay; 0 means a default of 5ms.
 	NetDelayDur time.Duration
 	// NetDupPct delivers a call twice, exercising the coordinator's
-	// request idempotency (a duplicated lease, completion or donation
-	// must not double its effect).
+	// request idempotency (a duplicated lease or completion must not
+	// double its effect).
 	NetDupPct int
 	// Net5xxPct makes the coordinator answer a call with a retryable
 	// 5xx error instead of processing it.

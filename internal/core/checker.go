@@ -167,21 +167,39 @@ type loadRec struct {
 // when resumed, explores exactly the executions an uninterrupted run
 // would have.
 func Run(cfg Config, program func(*Program)) (*Result, error) {
+	return runEngine(cfg, program, nil)
+}
+
+// RunFrontier runs the program as a distributed worker: instead of
+// seeding a fresh decision tree, the engine leases subtree units from f
+// one at a time, explores each with its local worker pool, and settles
+// each lease with its stats delta, the bugs found and any unexplored
+// remainder (see runLeases). When f reports Demand and no local worker
+// is hungry, the engine hands work off by settling its lease early with
+// everything it holds as remainder. The frontier's owner — typically the
+// dist coordinator — holds the durable state, so cfg must not set
+// CheckpointPath or SpillDir. The returned Result is this worker's local
+// view; Complete reports that f declared the exploration finished.
+func RunFrontier(cfg Config, program func(*Program), f Frontier) (*Result, error) {
+	if cfg.CheckpointPath != "" || cfg.SpillDir != "" {
+		return nil, setupError{"a frontier worker must not set CheckpointPath or SpillDir: the frontier's owner holds the durable state"}
+	}
+	return runEngine(cfg, program, f)
+}
+
+// runEngine runs the engine for Run (f nil) and RunFrontier.
+func runEngine(cfg Config, program func(*Program), f Frontier) (*Result, error) {
 	if program == nil {
 		return nil, setupError{"nil program"}
-	}
-	if cfg.Frontier != nil && cfg.CheckpointPath != "" {
-		return nil, setupError{"Frontier and CheckpointPath are mutually exclusive: the frontier's owner holds the durable state"}
-	}
-	if cfg.Frontier != nil && cfg.SpillDir != "" {
-		return nil, setupError{"Frontier and SpillDir are mutually exclusive: donate surplus units to the frontier instead"}
 	}
 	cfg.fillDefaults()
 	progDigest, err := programDigestOf(cfg, program)
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(cfg, program, progDigest).run()
+	e := newEngine(cfg, program, progDigest)
+	e.rf = f
+	return e.run()
 }
 
 // stopRequested polls the graceful-interruption channel.

@@ -411,6 +411,7 @@ func TestJoinFinishedMachine(t *testing.T) {
 func TestTornMultiWordObjectObserved(t *testing.T) {
 	// Two 8-byte fields on different cache lines, only one flushed: the
 	// torn state (f1 new, f2 old) must be observable after a crash.
+	var mu sync.Mutex // executions run concurrently when Workers > 1
 	torn := false
 	res := run(t, Config{}, func(p *Program) {
 		a := p.NewMachine("A")
@@ -427,7 +428,9 @@ func TestTornMultiWordObjectObserved(t *testing.T) {
 			th.Join(a)
 			v1, v2 := th.Load64(f1), th.Load64(f2)
 			if v1 == 1 && v2 == 0 {
+				mu.Lock()
 				torn = true
+				mu.Unlock()
 			}
 		})
 	})

@@ -57,15 +57,27 @@ type checkpointData struct {
 	Elapsed     time.Duration `json:"elapsed_ns"`
 	Complete    bool          `json:"complete"`
 	Interrupted bool          `json:"interrupted"`
-	// Cumulative resilience counters, carried across resumptions so
-	// Stats reports the whole exploration's history, not just the last
-	// process's. Added after version 2 shipped; omitted fields decode as
-	// zeros, so older checkpoints stay readable without a version bump.
-	Degraded         bool  `json:"degraded,omitempty"`
-	Spills           int   `json:"spills,omitempty"`
-	CheckpointErrors int   `json:"checkpoint_errors,omitempty"`
-	Quarantined      bool  `json:"quarantined,omitempty"`
-	Bugs             []Bug `json:"bugs,omitempty"`
+	History
+	Bugs []Bug `json:"bugs,omitempty"`
+}
+
+// History is the run record that is carried, not summed: cumulative
+// resilience counters that survive resumptions, so Stats reports the
+// whole exploration's history, not just the last process's. The engine
+// and the coordinator each hold one, adopt a resumed checkpoint's in one
+// assignment and project it onto Stats with ApplyTo. The fields were
+// added after version 2 shipped; omitted ones decode as zeros, so older
+// checkpoints stay readable without a version bump.
+type History struct {
+	Degraded         bool `json:"degraded,omitempty"`
+	Spills           int  `json:"spills,omitempty"`
+	CheckpointErrors int  `json:"checkpoint_errors,omitempty"`
+	Quarantined      bool `json:"quarantined,omitempty"`
+}
+
+// ApplyTo copies the history into the matching Stats fields.
+func (h History) ApplyTo(s *Stats) {
+	s.Degraded, s.Spills, s.CheckpointErrors, s.Quarantined = h.Degraded, h.Spills, h.CheckpointErrors, h.Quarantined
 }
 
 // numDecisionKinds is the number of decision.Kind values (read-from,

@@ -346,18 +346,6 @@ type Config struct {
 	// excluded from the configuration digest (observation never changes
 	// exploration semantics).
 	Observer OpObserver
-
-	// Frontier, when non-nil, turns the run into a distributed worker:
-	// instead of seeding a fresh decision tree, the engine leases subtree
-	// work units from the frontier, explores them with its local worker
-	// pool, re-donates surplus splits when the frontier reports demand,
-	// and reports each lease's results (stats deltas, deduplicated bugs,
-	// unexplored remainders) back on completion. The frontier's owner —
-	// typically the dist coordinator — holds the durable state, so
-	// Frontier is mutually exclusive with CheckpointPath and SpillDir.
-	// Not part of the configuration digest: the same exploration is being
-	// checked, merely sharded.
-	Frontier Frontier
 }
 
 func (c *Config) fillDefaults() {

@@ -2,10 +2,13 @@ package core
 
 // This file promotes the engine's work-unit frontier into an interface.
 // The engine's own in-memory queue remains the fast path for
-// single-process runs; a Frontier plugged in via Config.Frontier turns
-// the run into a distributed worker that leases subtree work units from
-// an external owner, explores them with its local pool, and reports
-// results back. Two implementations exist:
+// single-process runs; RunFrontier makes the run a distributed worker
+// that leases subtree work units from an external owner one at a time,
+// explores each with its local pool, and settles the lease with the
+// results and any unexplored remainder. Settling is also how work
+// reaches starving peers: a worker that sees Demand yields its lease
+// early, and the remainder is requeued for others to lease. Two
+// implementations exist:
 //
 //   - MemFrontier (below): an in-process lease table with time-bounded
 //     leases, per-unit epochs and expiry reclamation. The distributed
@@ -14,18 +17,20 @@ package core
 //   - dist.RemoteFrontier: the worker-side client that speaks the
 //     coordinator's HTTP protocol through a retrying transport.
 //
-// Results travel as Tally deltas and sum into the MemFrontier's one
-// Tally and BugSet. Resuming goes through ResumeCheckpoint, the same
-// adoption the single-process engine uses: Credit folds the adopted
-// totals, bugs and outstanding units in, and FillCheckpoint writes them
-// back out in the same version-2 format.
+// Results travel as per-lease Tally deltas and sum into the
+// MemFrontier's one Tally and BugSet. Resuming goes through
+// ResumeCheckpoint, the same adoption the single-process engine uses:
+// Credit folds the adopted totals, bugs and outstanding units in, and
+// FillCheckpoint writes them back out in the same version-2 format.
 //
 // The lease protocol is what makes distribution safe: every lease
 // carries a deadline and an epoch. A unit whose holder goes quiet past
 // the deadline is reclaimed — its epoch is bumped and it is re-issued to
 // another worker — and any late completion from the old epoch is
-// rejected idempotently, so a unit's results are accepted exactly once
-// and re-execution after a crash is harmless.
+// rejected idempotently, so a unit's results are accepted exactly once.
+// A lease's stored snapshot is all of its unsettled work (a worker hands
+// off only by settling), so re-executing a reclaimed unit reproduces
+// exactly what the crashed holder never reported.
 
 import (
 	"errors"
@@ -53,18 +58,18 @@ type LeasedUnit struct {
 	Deadline time.Time
 }
 
-// UnitReport is what a worker hands back when every unit derived from a
-// lease has been explored (or released early on a graceful stop). The
-// Tally is a delta since the worker's previous report, so summing
-// reports across workers yields exact totals when nothing crashes.
+// UnitReport is what a worker hands back when it settles a lease: the
+// leased unit is explored, or released early on a stop or a hand-off.
+// The Tally is the delta the lease produced, so summing reports across
+// workers yields exact totals when nothing crashes.
 type UnitReport struct {
 	Tally
-	// Bugs are the distinct bugs found since the previous report, with
-	// repro tokens attached. The frontier deduplicates globally.
+	// Bugs are the distinct bugs the worker has found so far, with repro
+	// tokens attached. The frontier deduplicates globally.
 	Bugs []Bug
-	// Remainder holds unexplored residue snapshots when the worker
-	// stopped before exhausting the lease: requeued as fresh units so no
-	// work is lost on a graceful shutdown.
+	// Remainder holds the unexplored trees left when the worker settled
+	// before exhausting the lease: requeued as fresh units, so neither a
+	// graceful stop nor a hand-off loses work.
 	Remainder [][]byte
 	// RPCRetries is the worker's transport-retry delta, aggregated by
 	// the coordinator into the final Stats.
@@ -83,9 +88,14 @@ type FrontierStats struct {
 	StaleRejects int
 }
 
+// ApplyTo copies the counters into the matching Stats fields.
+func (s FrontierStats) ApplyTo(st *Stats) {
+	st.LeaseReclaims, st.RPCRetries, st.StaleCompletions = s.Reclaims, s.RPCRetries, s.StaleRejects
+}
+
 // Frontier is the engine's upstream source of subtree work units in a
-// distributed run. Implementations must be safe for concurrent use; the
-// engine calls them outside its own lock.
+// distributed run (see RunFrontier). Implementations must be safe for
+// concurrent use.
 type Frontier interface {
 	// Lease blocks until a work unit is available (returning it), the
 	// exploration is complete (nil, nil), or stop fires (nil,
@@ -93,17 +103,17 @@ type Frontier interface {
 	// internally — an idle worker has nothing better to do than wait for
 	// the frontier to come back.
 	Lease(stop <-chan struct{}) (*LeasedUnit, error)
-	// Complete reports every unit derived from lease u explored, along
-	// with the worker's stats delta. A stale epoch is swallowed (counted,
-	// not an error): the unit was reclaimed and re-issued, and this
-	// worker's results must not be double-counted.
-	Complete(u *LeasedUnit, rep UnitReport) error
-	// Donate hands surplus split-off subtree snapshots back to the
-	// frontier as fresh independent units, rebalancing work toward
-	// hungry peers.
-	Donate(snaps [][]byte) error
-	// Demand reports how many units the frontier currently wants donated
-	// (0 = nobody is hungry). Advisory; sampled at execution boundaries.
+	// Complete settles lease u with the worker's report. A stale epoch
+	// is swallowed (counted): the unit was reclaimed and re-issued, and
+	// this worker's results must not be double-counted. A report that
+	// never arrives is survivable too: the lease expires and the unit is
+	// re-issued.
+	Complete(u *LeasedUnit, rep UnitReport)
+	// Demand reports how many more units starving workers want than are
+	// queued (0 = nobody is waiting for work). Advisory; sampled at
+	// execution boundaries, where a positive value makes the engine
+	// yield its lease. It is called under the engine's lock, so it must
+	// not block.
 	Demand() int
 	// Stats returns the cumulative robustness counters.
 	Stats() FrontierStats
@@ -239,7 +249,7 @@ func (f *MemFrontier) addLocked(snaps [][]byte) {
 	}
 }
 
-// Add registers fresh work-unit snapshots (seeding, donations, returned
+// Add registers fresh work-unit snapshots (seeding, returned
 // remainders).
 func (f *MemFrontier) Add(snaps [][]byte) {
 	f.mu.Lock()
@@ -353,15 +363,8 @@ func (f *MemFrontier) creditLocked(rep UnitReport) {
 }
 
 // Complete implements Frontier.
-func (f *MemFrontier) Complete(u *LeasedUnit, rep UnitReport) error {
+func (f *MemFrontier) Complete(u *LeasedUnit, rep UnitReport) {
 	f.CompleteReport(u.ID, u.Epoch, rep)
-	return nil
-}
-
-// Donate implements Frontier: donated snapshots become fresh units.
-func (f *MemFrontier) Donate(snaps [][]byte) error {
-	f.Add(snaps)
-	return nil
 }
 
 // Demand implements Frontier: how many units blocked Lease calls are

@@ -204,11 +204,14 @@ func TestFrontierBugDedup(t *testing.T) {
 	}
 }
 
-// TestEngineAgainstMemFrontier: a Config.Frontier run is a distributed
+// TestEngineAgainstMemFrontier: a RunFrontier run is a distributed
 // worker in miniature. Driving the engine against an in-process
 // MemFrontier seeded with the whole tree must reproduce exactly the
 // stats and distinct bug set of a plain run — the engine-level form of
-// the cross-process parity the dist package proves over HTTP.
+// the cross-process parity the dist package proves over HTTP. So must
+// a run split in two: a first worker stops at half the executions and
+// settles its remainder, a second finishes, and the frontier's totals
+// add up to the plain run with every unit completed.
 func TestEngineAgainstMemFrontier(t *testing.T) {
 	base := Config{ContinueAfterBug: true}
 	plain, err := Run(base, frontierProgram)
@@ -224,8 +227,7 @@ func TestEngineAgainstMemFrontier(t *testing.T) {
 		f.Add([][]byte{decision.NewTree().Snapshot()})
 		cfg := base
 		cfg.Workers = workers
-		cfg.Frontier = f
-		res, err := Run(cfg, frontierProgram)
+		res, err := RunFrontier(cfg, frontierProgram, f)
 		f.Close()
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -247,31 +249,70 @@ func TestEngineAgainstMemFrontier(t *testing.T) {
 			t.Fatalf("workers=%d: %d units added but %d completed — work lost or duplicated", workers, added, done)
 		}
 	}
+
+	for _, workers := range []int{1, 4} {
+		f := NewMemFrontier(MemFrontierConfig{LeaseTTL: time.Minute}, nil)
+		f.Add([][]byte{decision.NewTree().Snapshot()})
+		cfg := base
+		cfg.Workers = workers
+		cfg.MaxExecutions = plain.Executions / 2
+		first, err := RunFrontier(cfg, frontierProgram, f)
+		if err != nil {
+			t.Fatalf("workers=%d first half: %v", workers, err)
+		}
+		if first.Complete || first.Executions != cfg.MaxExecutions {
+			t.Fatalf("workers=%d first half: complete=%v after %d executions, want a stop at %d",
+				workers, first.Complete, first.Executions, cfg.MaxExecutions)
+		}
+		if _, _, queued, leased := f.Totals(); queued == 0 || leased != 0 {
+			t.Fatalf("workers=%d first half left %d queued, %d leased; want its remainder queued", workers, queued, leased)
+		}
+		cfg.MaxExecutions = 0
+		if _, err := RunFrontier(cfg, frontierProgram, f); err != nil {
+			t.Fatalf("workers=%d second half: %v", workers, err)
+		}
+		tl, bugs, _, _ := f.Totals()
+		f.Close()
+		got := tl.Stats()
+		if got.Executions != plain.Executions || got.FailurePoints != plain.FailurePoints ||
+			got.ReadFromPoints != plain.ReadFromPoints {
+			t.Fatalf("workers=%d stop-and-finish: totals (execs %d, fp %d, rfp %d) != plain (execs %d, fp %d, rfp %d)",
+				workers, got.Executions, got.FailurePoints, got.ReadFromPoints,
+				plain.Executions, plain.FailurePoints, plain.ReadFromPoints)
+		}
+		if got, want := distinctMsgs(bugs), distinctMsgs(plain.Bugs); !equalStrings(got, want) {
+			t.Fatalf("workers=%d stop-and-finish: bugs %v != plain %v", workers, got, want)
+		}
+		if added, done := f.UnitCounts(); added != done {
+			t.Fatalf("workers=%d stop-and-finish: %d units added but %d completed", workers, added, done)
+		}
+	}
 }
 
-// TestEngineFrontierConfigExclusive: Config.Frontier excludes the
-// engine's own durable state.
+// TestEngineFrontierConfigExclusive: RunFrontier excludes the engine's
+// own durable state.
 func TestEngineFrontierConfigExclusive(t *testing.T) {
 	f := NewMemFrontier(MemFrontierConfig{}, nil)
 	defer f.Close()
-	if _, err := Run(Config{Frontier: f, CheckpointPath: t.TempDir() + "/cp"}, frontierProgram); err == nil {
-		t.Fatal("Frontier + CheckpointPath accepted")
+	if _, err := RunFrontier(Config{CheckpointPath: t.TempDir() + "/cp"}, frontierProgram, f); err == nil {
+		t.Fatal("RunFrontier + CheckpointPath accepted")
 	}
-	if _, err := Run(Config{Frontier: f, SpillDir: t.TempDir()}, frontierProgram); err == nil {
-		t.Fatal("Frontier + SpillDir accepted")
+	if _, err := RunFrontier(Config{SpillDir: t.TempDir()}, frontierProgram, f); err == nil {
+		t.Fatal("RunFrontier + SpillDir accepted")
 	}
 }
 
 // TestEngineFrontierSplitsUnderDemand: with the frontier reporting
-// donation demand, an engine exploring a large unit re-donates splits —
-// and every donated unit is eventually completed by someone.
+// demand, an engine exploring a large unit splits and hands the pieces
+// off by settling its lease — and every handed-off unit is eventually
+// completed by someone.
 func TestEngineFrontierSplitsUnderDemand(t *testing.T) {
 	f := NewMemFrontier(MemFrontierConfig{LeaseTTL: time.Minute}, nil)
 	defer f.Close()
 	f.Add([][]byte{decision.NewTree().Snapshot()})
 
 	// A second consumer leasing concurrently keeps Demand above zero
-	// while the first engine explores, so its boundary check donates.
+	// while the first engine explores, so its boundary check yields.
 	var wg sync.WaitGroup
 	wg.Add(1)
 	stop := make(chan struct{})
@@ -293,8 +334,8 @@ func TestEngineFrontierSplitsUnderDemand(t *testing.T) {
 		}
 	}()
 
-	cfg := Config{ContinueAfterBug: true, Workers: 2, Frontier: f}
-	res, err := Run(cfg, frontierProgram)
+	cfg := Config{ContinueAfterBug: true, Workers: 2}
+	res, err := RunFrontier(cfg, frontierProgram, f)
 	close(stop)
 	wg.Wait()
 	if err != nil {
@@ -308,7 +349,7 @@ func TestEngineFrontierSplitsUnderDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Executions != plain.Executions {
-		t.Fatalf("executions %d != plain %d despite donation churn", res.Executions, plain.Executions)
+		t.Fatalf("executions %d != plain %d despite hand-off churn", res.Executions, plain.Executions)
 	}
 	if added, done := f.UnitCounts(); added != done {
 		t.Fatalf("%d units added, %d completed — work lost or duplicated", added, done)

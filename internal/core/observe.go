@@ -321,8 +321,8 @@ func (e *engine) progress() Progress {
 		Active:           e.active,
 		Frontier:         len(e.queue) + len(e.spilled) + e.active,
 		GovernorStage:    e.govStage,
-		Degraded:         e.degraded,
-		CheckpointErrors: e.cpErrs,
+		Degraded:         e.history.Degraded,
+		CheckpointErrors: e.history.CheckpointErrors,
 		HeapBytes:        ms.HeapAlloc,
 		Elapsed:          e.prior + sinceStart,
 		TraceEvents:      e.tracer.Total(),

@@ -30,6 +30,16 @@ package core
 // A single worker degenerates to the serial loop — same boundary-check
 // order, no donation (nobody is hungry), exact MaxExecutions cutoff —
 // so there is exactly one exploration code path for all worker counts.
+//
+// RunFrontier drives the same pool one lease at a time (runLeases): the
+// leased unit seeds the queue, the pool drains it, and the lease is
+// settled with the tally delta, the bugs and any unexplored trees as
+// remainder. Work reaches starving peers elsewhere by settling early: a
+// worker that sees remote demand and no hungry local peer yields the
+// lease, every worker pushes its unit back at its next boundary as on a
+// stop, and the trees go back to the frontier. Nothing a lease produced
+// stays behind its stored snapshot, so a reclaimed lease re-explores
+// exactly the unsettled part.
 
 import (
 	"errors"
@@ -113,19 +123,17 @@ type engine struct {
 	// worker compares its own epoch at the next boundary and marks its
 	// checker dirty, which makes resetExecution rebuild from scratch.
 	poolEpoch int
-	degraded  bool
 	// spilled holds frontier units parked on disk, LIFO; spillFail latches
 	// after a persistent spill I/O error and disables further spilling
 	// (units then just stay in memory).
 	spilled   []spillEntry
 	spillSeq  int
-	spills    int
 	spillFail bool
-	// cpErrs counts tolerated periodic-checkpoint write failures; the
-	// previously-installed checkpoint stays valid (atomic rename), so the
-	// run keeps exploring. Only a failed *final* write fails the run.
-	cpErrs      int
-	quarantined bool
+	// history carries the degraded flag, spill count, quarantine and the
+	// tolerated periodic-checkpoint write failures (the previously
+	// installed checkpoint stays valid, so the run keeps exploring; only a
+	// failed *final* write fails the run) across resumptions.
+	history History
 
 	// Observability plumbing (see observe.go). om's instruments are nil
 	// (valid no-ops) when neither Config.Obs nor Config.MetricsAddr is
@@ -142,38 +150,13 @@ type engine struct {
 	unitsDone int
 	baseExecs int
 
-	// Distributed-mode state (cfg.Frontier non-nil). The engine leases
-	// subtree units from rf instead of seeding a local tree; leases maps
-	// every live tree back to the lease it derives from (Split children
-	// inherit the parent's ref), and when a lease's last tree retires a
-	// completion report carrying tally − reported (and the bugs past
-	// reportedBugs) is dispatched. reported.Created also absorbs unit
-	// migration: a leased unit's embedded counts were credited by
-	// whoever produced them, and a tree that leaves (donated or flushed)
-	// is this worker's to credit, since its next holder baselines its
-	// counts away. So the frontier's sum of reports partitions exactly
-	// no matter how often units migrate. leaseOut serializes the
-	// blocking Lease fetch across hungry workers; remoteDone latches once
-	// the frontier reports the exploration finished. leaseStop mirrors a
-	// local stop into a blocked Lease call (cond.Wait cannot watch a
-	// channel, and neither can an HTTP long-poll watch our mutex).
-	// pending tracks in-flight completion/donation RPC goroutines so
-	// run() can drain them.
-	rf              Frontier
-	remoteDone      bool
-	leaseOut        bool
-	leases          map[*decision.Tree]*leaseRef
-	reported        Tally
-	reportedBugs    int
-	leaseStop       chan struct{}
-	leaseStopClosed bool
-	pending         sync.WaitGroup
-}
-
-// leaseRef tracks how many live trees still derive from one leased unit.
-type leaseRef struct {
-	lu          *LeasedUnit
-	outstanding int
+	// rf is the frontier RunFrontier leases units from (nil for Run).
+	// yielding asks the workers to push their units back and leave the
+	// pool, like a stop that ends only the current lease.
+	rf       Frontier
+	yielding bool
+	// pool holds the workers built so far (see runPool).
+	pool []*worker
 }
 
 // worker is the per-goroutine exploration state.
@@ -204,11 +187,6 @@ func newEngine(cfg Config, program func(*Program), progDigest string) *engine {
 		progDigest: progDigest,
 	}
 	e.cond = sync.NewCond(&e.mu)
-	if cfg.Frontier != nil {
-		e.rf = cfg.Frontier
-		e.leases = make(map[*decision.Tree]*leaseRef)
-		e.leaseStop = make(chan struct{})
-	}
 	e.workers = make([]WorkerStatus, cfg.Workers)
 	for i := range e.workers {
 		e.workers[i] = WorkerStatus{ID: i, State: "wait"}
@@ -226,9 +204,8 @@ func (e *engine) seedFrontier() (*Result, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.rf != nil {
-		// Distributed worker: the frontier's owner seeds and persists the
-		// exploration; this process only leases units from it.
-		e.lastCPExecs, e.lastCPTime = e.tally.Executions, e.start
+		// The frontier's owner seeds and persists the exploration; this
+		// engine only leases units from it.
 		return nil, nil
 	}
 	if e.cfg.CheckpointPath != "" {
@@ -237,7 +214,7 @@ func (e *engine) seedFrontier() (*Result, error) {
 		case err != nil:
 			return nil, err
 		case quarantined:
-			e.quarantined = true
+			e.history.Quarantined = true
 			e.om.cpQuarantines.Inc()
 			e.tracer.RecordS(-1, obs.EvCheckpointQuarantine, 0, e.cfg.CheckpointPath)
 		case r != nil:
@@ -273,91 +250,33 @@ func (e *engine) run() (*Result, error) {
 		return done, nil
 	}
 
-	// Watch Config.Stop from its own goroutine: workers parked in take
-	// wait on a condition variable and a remote lease fetch blocks in an
-	// HTTP long-poll, and neither can select on a channel. Without this,
-	// a SIGTERM while every worker was parked waiting for a steal went
-	// unnoticed until the next donation; now the watcher flips the stop
-	// flag (and leaseStop) immediately and the broadcast drains the pool.
-	if e.cfg.Stop != nil {
-		watchDone := make(chan struct{})
-		defer close(watchDone)
-		go func() {
-			select {
-			case <-e.cfg.Stop:
-				e.mu.Lock()
-				if !e.stopFlag && e.failErr == nil {
-					e.interrupted = true
-					e.stopLocked()
-				}
-				e.mu.Unlock()
-			case <-watchDone:
-			}
-		}()
+	endWatch := e.watchStop()
+	var complete bool
+	if e.rf != nil {
+		complete = e.runLeases()
+	} else {
+		e.runPool()
 	}
-
-	var wg sync.WaitGroup
-	for i := 0; i < e.cfg.Workers; i++ {
-		w := &worker{
-			id: i,
-			ck: &Checker{
-				cfg:        e.cfg,
-				program:    e.program,
-				cfgDigest:  e.cfgDigest,
-				progDigest: e.progDigest,
-				deadline:   e.deadline,
-				om:         e.om,
-				tracer:     e.tracer,
-				workerID:   i,
-			},
-			lastRound: -1,
-		}
-		if e.reg != nil || e.tracer != nil {
-			w.hook = &checkerHook{om: e.om, tracer: e.tracer, worker: i}
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				tr := e.take(w)
-				if tr == nil {
-					return
-				}
-				e.runUnit(w, tr)
-			}
-		}()
-	}
-	wg.Wait()
+	endWatch()
 
 	if e.haveP {
-		e.pending.Wait()
 		e.cleanupSpills()
 		panic(e.panicked)
 	}
 	if e.failErr != nil {
-		e.pending.Wait()
 		e.cleanupSpills()
 		return nil, e.failErr
 	}
-	if e.rf != nil {
-		// Resolve in-flight donations first (a failed one re-queues its
-		// trees), then return every still-queued tree to the frontier as
-		// its lease's remainder, so a graceful stop loses no work.
-		e.pending.Wait()
-		e.flushRemote()
-		e.pending.Wait()
-	}
-	complete := !e.stopFlag && len(e.queue) == 0 && len(e.spilled) == 0 &&
-		(e.rf == nil || e.remoteDone)
 	if e.cfg.Workers > 1 {
 		// Discovery order is nondeterministic across workers; report bugs
 		// in a stable order instead.
 		SortBugs(e.bugs.List())
 	}
 	if e.rf == nil {
-		// In distributed mode the coordinator minimizes the globally
-		// merged bug set instead, so every worker finding the same bug
-		// doesn't pay the replay cost; see dist.Coordinator.
+		complete = !e.stopFlag && len(e.queue) == 0 && len(e.spilled) == 0
+		// A frontier's owner minimizes the globally merged bug set
+		// instead, so every worker finding the same bug doesn't pay the
+		// replay cost; see dist.Coordinator.
 		minimizeBugTokens(e.cfg, e.program, e.progDigest, e.bugs.List())
 	}
 	res := e.result(complete)
@@ -379,6 +298,148 @@ func (e *engine) run() (*Result, error) {
 	return res, nil
 }
 
+// watchStop watches Config.Stop from its own goroutine: workers parked
+// in take wait on a condition variable and cannot select on a channel.
+// Without this, a SIGTERM while every worker was parked waiting for a
+// steal went unnoticed until the next donation; now the watcher flips
+// the stop flag immediately and the broadcast drains the pool. The
+// returned function ends the watch and waits for the watcher to exit,
+// so the run's final state is read without it.
+func (e *engine) watchStop() (end func()) {
+	if e.cfg.Stop == nil {
+		return func() {}
+	}
+	done, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		select {
+		case <-e.cfg.Stop:
+			e.mu.Lock()
+			if !e.stopFlag && e.failErr == nil {
+				e.interrupted = true
+				e.stopLocked()
+			}
+			e.mu.Unlock()
+		case <-done:
+		}
+	}()
+	return func() {
+		close(done)
+		<-exited
+	}
+}
+
+// runPool runs the workers until the pool drains: every queued unit is
+// exhausted, or the run stopped, failed or yielded its lease. A worker
+// is built when its goroutine first starts, and keeps its checker (and
+// the checker's pooled arenas) across the pool runs of later leases.
+func (e *engine) runPool() {
+	var wg sync.WaitGroup
+	for i := 0; i < e.cfg.Workers; i++ {
+		if i == len(e.pool) {
+			e.pool = append(e.pool, e.newWorker(i))
+		}
+		w := e.pool[i]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				tr := e.take(w)
+				if tr == nil {
+					return
+				}
+				e.runUnit(w, tr)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+func (e *engine) newWorker(id int) *worker {
+	w := &worker{
+		id: id,
+		ck: &Checker{
+			cfg:        e.cfg,
+			program:    e.program,
+			cfgDigest:  e.cfgDigest,
+			progDigest: e.progDigest,
+			deadline:   e.deadline,
+			om:         e.om,
+			tracer:     e.tracer,
+			workerID:   id,
+		},
+		lastRound: -1,
+	}
+	if e.reg != nil || e.tracer != nil {
+		w.hook = &checkerHook{om: e.om, tracer: e.tracer, worker: id}
+	}
+	return w
+}
+
+// runLeases drives the pool one frontier lease at a time and reports
+// whether the frontier declared the exploration finished. The leased
+// unit seeds the queue and the pool explores it until it drains; the
+// lease is then settled with the tally delta since it began, every bug
+// found so far (the frontier deduplicates, so a bug whose first report
+// was lost with a reclaimed lease still arrives) and the trees left
+// behind as Remainder. The delta baselines the leased tree's embedded
+// counts away, since whoever produced the tree credited them, and
+// credits the remainder's, since their next holder baselines them away;
+// so the frontier's sum of reports partitions exactly however often
+// units migrate. A failed run leaves its lease unsettled: it expires
+// and the frontier re-issues the unit.
+func (e *engine) runLeases() bool {
+	for {
+		lu, err := e.rf.Lease(e.cfg.Stop)
+		if lu != nil {
+			err = e.settle(lu)
+		}
+		e.mu.Lock()
+		switch {
+		case errors.Is(err, ErrStopped):
+			e.interrupted = true
+			e.stopLocked()
+		case err != nil:
+			e.failLocked(err)
+		}
+		halted := e.stopFlag || e.failErr != nil || e.haveP
+		e.mu.Unlock()
+		if halted || lu == nil {
+			return !halted
+		}
+	}
+}
+
+// settle explores one leased unit with the pool and completes its lease.
+func (e *engine) settle(lu *LeasedUnit) error {
+	tr := decision.NewTree()
+	if err := tr.Restore(lu.Snapshot); err != nil {
+		return fmt.Errorf("cxlmc: leased unit %d does not decode: %w", lu.ID, err)
+	}
+	e.mu.Lock()
+	base := e.tally
+	if !tr.Done() {
+		base.Add(unitTally(tr))
+		e.queue = append(e.queue, tr)
+	}
+	e.yielding = false
+	e.mu.Unlock()
+	e.runPool()
+	e.mu.Lock()
+	if e.failErr != nil || e.haveP {
+		e.mu.Unlock()
+		return nil
+	}
+	rep := UnitReport{Tally: e.totalLocked().Sub(base), Bugs: append([]Bug(nil), e.bugs.List()...)}
+	for _, tr := range e.queue {
+		rep.Remainder = append(rep.Remainder, tr.Snapshot())
+	}
+	e.queue = nil
+	e.mu.Unlock()
+	e.rf.Complete(lu, rep)
+	return nil
+}
+
 // cleanupSpills removes any remaining spill files. Called after the pool
 // has drained, so no locking is needed.
 func (e *engine) cleanupSpills() {
@@ -387,10 +448,9 @@ func (e *engine) cleanupSpills() {
 	}
 }
 
-// result assembles the Result from the engine's final state. Point
-// counters are the completed units' totals plus whatever the still-queued
-// (or still-spilled) units created before being released.
-func (e *engine) result(complete bool) *Result {
+// totalLocked is the tally including the counts of the still-queued
+// (or still-spilled) units: what they created before being released.
+func (e *engine) totalLocked() Tally {
 	t := e.tally
 	for _, tr := range e.queue {
 		t.Add(unitTally(tr))
@@ -398,20 +458,19 @@ func (e *engine) result(complete bool) *Result {
 	for _, ent := range e.spilled {
 		t.Add(ent.tally)
 	}
-	stats := t.Stats()
+	return t
+}
+
+// result assembles the Result from the engine's final state.
+func (e *engine) result(complete bool) *Result {
+	stats := e.totalLocked().Stats()
 	stats.Elapsed = e.prior + time.Since(e.start)
 	stats.Complete = complete
 	stats.Interrupted = e.interrupted
 	stats.Resumed = e.resumed
-	stats.Degraded = e.degraded
-	stats.Spills = e.spills
-	stats.CheckpointErrors = e.cpErrs
-	stats.Quarantined = e.quarantined
+	e.history.ApplyTo(&stats)
 	if e.rf != nil {
-		fs := e.rf.Stats()
-		stats.LeaseReclaims = fs.Reclaims
-		stats.RPCRetries = fs.RPCRetries
-		stats.StaleCompletions = fs.StaleRejects
+		e.rf.Stats().ApplyTo(&stats)
 	}
 	return &Result{Stats: stats, Bugs: e.bugs.List(), Seed: e.cfg.Seed, GPF: e.cfg.GPF}
 }
@@ -449,20 +508,17 @@ func (e *engine) checkpointData(complete bool) (*checkpointData, error) {
 
 func (e *engine) envelope(units [][]byte, complete bool) *checkpointData {
 	return &checkpointData{
-		Version:          checkpointVersion,
-		Seed:             e.cfg.Seed,
-		ConfigDigest:     e.cfgDigest,
-		ProgramDigest:    e.progDigest,
-		Units:            units,
-		Tally:            e.tally,
-		Elapsed:          e.prior + time.Since(e.start),
-		Complete:         complete,
-		Interrupted:      e.interrupted,
-		Degraded:         e.degraded,
-		Spills:           e.spills,
-		CheckpointErrors: e.cpErrs,
-		Quarantined:      e.quarantined,
-		Bugs:             e.bugs.List(),
+		Version:       checkpointVersion,
+		Seed:          e.cfg.Seed,
+		ConfigDigest:  e.cfgDigest,
+		ProgramDigest: e.progDigest,
+		Units:         units,
+		Tally:         e.tally,
+		Elapsed:       e.prior + time.Since(e.start),
+		Complete:      complete,
+		Interrupted:   e.interrupted,
+		History:       e.history,
+		Bugs:          e.bugs.List(),
 	}
 }
 
@@ -477,7 +533,7 @@ func (e *engine) adoptCheckpoint(r *Resume) {
 	// road here was, or Stats would under-report spills, checkpoint
 	// failures and quarantines that happened before the interruption.
 	// (Checkpoints written by older builds decode these as zeros.)
-	e.degraded, e.spills, e.cpErrs, e.quarantined = r.Degraded, r.Spills, r.CheckpointErrors, r.Quarantined
+	e.history = r.History
 	for _, b := range r.Bugs {
 		e.bugs.Add(b)
 	}
@@ -510,7 +566,7 @@ func (e *engine) take(w *worker) *decision.Tree {
 			e.interrupted = true
 			e.stopLocked()
 		}
-		if e.stopFlag || e.failErr != nil {
+		if e.haltedLocked() {
 			e.workers[w.id].State = "done"
 			return nil
 		}
@@ -521,8 +577,7 @@ func (e *engine) take(w *worker) *decision.Tree {
 			e.unspillLocked()
 			continue
 		}
-		if len(e.queue) == 0 && len(e.spilled) == 0 && e.active == 0 &&
-			(e.rf == nil || (e.remoteDone && !e.leaseOut)) {
+		if len(e.queue) == 0 && len(e.spilled) == 0 && e.active == 0 {
 			e.workers[w.id].State = "done"
 			return nil
 		}
@@ -535,10 +590,6 @@ func (e *engine) take(w *worker) *decision.Tree {
 			e.workers[w.id].State = "run"
 			e.workers[w.id].Units++
 			return tr
-		}
-		if e.rf != nil && !e.remoteDone && !e.leaseOut && len(e.queue) == 0 {
-			e.leasePumpLocked(w)
-			continue
 		}
 		if !parked {
 			// First wait of this dry spell: record the park once, not per
@@ -572,191 +623,6 @@ func (e *engine) unspillLocked() {
 	e.om.unspills.Inc()
 	e.tracer.Record(-1, obs.EvUnspill, int64(len(e.spilled)), 0)
 	e.cond.Broadcast()
-}
-
-// leasePumpLocked fetches the next work unit from the remote frontier.
-// Called with e.mu held and leaseOut false; the blocking Lease call
-// itself runs unlocked, with leaseOut keeping peers from racing a second
-// fetch (they park on the condition variable instead).
-func (e *engine) leasePumpLocked(w *worker) {
-	e.leaseOut = true
-	e.workers[w.id].State = "lease"
-	e.mu.Unlock()
-	lu, err := e.rf.Lease(e.leaseStop)
-	e.mu.Lock()
-	e.leaseOut = false
-	defer e.cond.Broadcast()
-	switch {
-	case errors.Is(err, ErrStopped):
-		// leaseStop closes on any local stop; only a genuine Config.Stop
-		// should mark the run interrupted, and the stop watcher already
-		// did that before closing the channel.
-	case err != nil:
-		e.failLocked(err)
-	case lu == nil:
-		e.remoteDone = true
-	default:
-		tr := decision.NewTree()
-		if rerr := tr.Restore(lu.Snapshot); rerr != nil {
-			e.failLocked(fmt.Errorf("cxlmc: leased unit %d does not decode: %w", lu.ID, rerr))
-			return
-		}
-		if tr.Done() {
-			// A unit with nothing left to explore (a resumed checkpoint
-			// can carry them): complete it immediately, crediting its
-			// embedded decision-point counts, and pump again.
-			e.completeAsync(lu, UnitReport{Tally: unitTally(tr)})
-			return
-		}
-		// The unit arrives with the decision-point counts of its past
-		// life embedded, already credited upstream: count them as
-		// reported, so reports carry only what THIS worker contributed.
-		e.reported.Add(unitTally(tr))
-		e.leases[tr] = &leaseRef{lu: lu, outstanding: 1}
-		e.queue = append(e.queue, tr)
-	}
-}
-
-// adoptSplitLocked registers freshly split-off children under their
-// parent's lease: the lease completes only when every tree derived from
-// it has retired.
-func (e *engine) adoptSplitLocked(parent *decision.Tree, units []*decision.Tree) {
-	if e.rf == nil {
-		return
-	}
-	ref := e.leases[parent]
-	if ref == nil {
-		return
-	}
-	ref.outstanding += len(units)
-	for _, u := range units {
-		e.leases[u] = ref
-	}
-}
-
-// reportDeltaLocked assembles the tally delta and the newly found bugs
-// since the previous report. An individual report's Created can go
-// negative (a lease adopted with large embedded counts, most of which
-// were donated onward); the coordinator only ever sums deltas, so
-// partition-exactness is what matters.
-func (e *engine) reportDeltaLocked() UnitReport {
-	rep := UnitReport{
-		Tally: e.tally.Sub(e.reported),
-		Bugs:  append([]Bug(nil), e.bugs.List()[e.reportedBugs:]...),
-	}
-	e.reported, e.reportedBugs = e.tally, len(e.bugs.List())
-	return rep
-}
-
-// completeAsync dispatches a completion report without holding e.mu (a
-// remote Complete is an HTTP call with retries). pending lets run drain
-// the dispatch before assembling the final result.
-func (e *engine) completeAsync(lu *LeasedUnit, rep UnitReport) {
-	e.pending.Add(1)
-	go func() {
-		defer e.pending.Done()
-		// A permanently failed completion is survivable: the lease
-		// expires, the coordinator reclaims and re-issues the unit, and
-		// the deterministic re-execution reports the same bugs.
-		e.rf.Complete(lu, rep)
-	}()
-}
-
-// retireShareLocked drops tr's claim on its lease; when the last tree
-// derived from the lease retires, the completion report goes out.
-func (e *engine) retireShareLocked(tr *decision.Tree) {
-	ref := e.leases[tr]
-	if ref == nil {
-		return
-	}
-	delete(e.leases, tr)
-	ref.outstanding--
-	if ref.outstanding > 0 {
-		return
-	}
-	e.completeAsync(ref.lu, e.reportDeltaLocked())
-}
-
-// donateLocked sends surplus queued trees back to the frontier, bounded
-// by its reported demand. The trees leave the queue immediately (local
-// workers must not race the donation) but stay charged to their leases
-// until the RPC succeeds; on failure they simply return to the queue —
-// degraded to local draining, nothing lost.
-func (e *engine) donateLocked() {
-	want := e.rf.Demand()
-	if want <= 0 || len(e.queue) == 0 {
-		return
-	}
-	if want > len(e.queue) {
-		want = len(e.queue)
-	}
-	trees := make([]*decision.Tree, want)
-	copy(trees, e.queue[len(e.queue)-want:])
-	e.queue = e.queue[:len(e.queue)-want]
-	snaps := make([][]byte, len(trees))
-	for i, tr := range trees {
-		snaps[i] = tr.Snapshot()
-	}
-	e.pending.Add(1)
-	go func() {
-		defer e.pending.Done()
-		err := e.rf.Donate(snaps)
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		if err != nil {
-			e.queue = append(e.queue, trees...)
-			e.cond.Broadcast()
-			return
-		}
-		for _, tr := range trees {
-			// The donated subtree's counts leave with it (its next holder
-			// baselines them away), so they are this worker's to report.
-			e.reported = e.reported.Sub(unitTally(tr))
-			e.retireShareLocked(tr)
-		}
-	}()
-}
-
-// flushRemote returns every still-queued tree to the frontier as its
-// lease's remainder: requeued there as fresh units, so a graceful local
-// stop (Config.Stop, MaxExecutions, MaxTime, bug-stop) strands no work.
-// Called after the pool has drained; completions run synchronously.
-func (e *engine) flushRemote() {
-	e.mu.Lock()
-	type flush struct {
-		lu  *LeasedUnit
-		rep UnitReport
-	}
-	byRef := make(map[*leaseRef]int)
-	var outs []flush
-	for _, tr := range e.queue {
-		ref := e.leases[tr]
-		if ref == nil {
-			continue
-		}
-		delete(e.leases, tr)
-		ref.outstanding--
-		e.reported = e.reported.Sub(unitTally(tr))
-		i, ok := byRef[ref]
-		if !ok {
-			i = len(outs)
-			byRef[ref] = i
-			outs = append(outs, flush{lu: ref.lu})
-		}
-		outs[i].rep.Remainder = append(outs[i].rep.Remainder, tr.Snapshot())
-	}
-	e.queue = nil
-	if len(outs) > 0 {
-		// Attach the final stats delta to the first flushed lease; the
-		// others carry only their remainders.
-		remainder := outs[0].rep.Remainder
-		outs[0].rep = e.reportDeltaLocked()
-		outs[0].rep.Remainder = remainder
-	}
-	e.mu.Unlock()
-	for _, o := range outs {
-		e.rf.Complete(o.lu, o.rep)
-	}
 }
 
 // runUnit explores one subtree unit on w's private checker until the
@@ -880,8 +746,8 @@ func (e *engine) runUnit(w *worker, tr *decision.Tree) {
 				e.mu.Unlock()
 				return
 			}
-			if e.stopFlag || e.failErr != nil {
-				// Another worker stopped the run.
+			if e.haltedLocked() {
+				// Another worker stopped the run or yielded the lease.
 				e.endUnitLocked(w, tr, true)
 				released = true
 				e.mu.Unlock()
@@ -907,18 +773,21 @@ func (e *engine) runUnit(w *worker, tr *decision.Tree) {
 			// dry, so carve unexplored branches off this unit (spilled
 			// units stay parked — reloading them costs I/O; splitting is
 			// free). With one worker nobody is ever hungry and the serial
-			// DFS order is untouched.
-			if (e.hungry > 0 || (e.rf != nil && e.rf.Demand() > 0)) && len(e.queue) == 0 {
+			// DFS order is untouched. A hand-off feeds starving workers
+			// elsewhere instead: no local peer is hungry but the frontier
+			// reports demand, so the lease is yielded — every worker
+			// pushes its unit back, and runLeases settles the lease with
+			// all of them as remainder.
+			handoff := e.rf != nil && e.hungry == 0 && e.rf.Demand() > 0
+			if (e.hungry > 0 || handoff) && len(e.queue) == 0 {
 				if units := tr.Split(); len(units) > 0 {
-					e.adoptSplitLocked(tr, units)
 					e.queue = append(e.queue, units...)
 					e.cond.Broadcast()
 				}
 			}
-			// Re-donate to the cluster: local peers are fed but the
-			// frontier reports hungry workers elsewhere.
-			if e.rf != nil && e.hungry == 0 && len(e.queue) > 0 {
-				e.donateLocked()
+			if handoff && len(e.queue) > 0 {
+				e.yielding = true
+				e.cond.Broadcast()
 			}
 			// Chaos: a spurious barrier arms a checkpoint round off
 			// cadence, exercising the stop-the-world machinery under load.
@@ -937,8 +806,9 @@ func (e *engine) runUnit(w *worker, tr *decision.Tree) {
 				e.cond.Wait()
 			}
 		}
-		if e.stopFlag || e.failErr != nil {
-			// The run ended while this worker waited at the barrier.
+		if e.haltedLocked() {
+			// The run ended while this worker waited at the barrier, or
+			// the lease was just yielded.
 			e.endUnitLocked(w, tr, true)
 			released = true
 			e.mu.Unlock()
@@ -988,9 +858,6 @@ func (e *engine) mergeLocked(w *worker) {
 // counters move to the engine's completed totals.
 func (e *engine) finishUnitLocked(w *worker, tr *decision.Tree) {
 	e.tally.Add(unitTally(tr))
-	if e.rf != nil {
-		e.retireShareLocked(tr)
-	}
 	e.unitsDone++
 	e.om.unitsFinished.Inc()
 	e.releaseLocked(w)
@@ -1039,7 +906,7 @@ func (e *engine) governLocked() {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		if ms.HeapAlloc > e.cfg.MemBudgetBytes {
-			e.degraded = true
+			e.history.Degraded = true
 			e.govStage++
 			e.om.govEscalations.Inc()
 			e.om.heapBytes.Set(int64(ms.HeapAlloc))
@@ -1107,7 +974,7 @@ func (e *engine) spillOneLocked(tr *decision.Tree) bool {
 		return false
 	}
 	e.spilled = append(e.spilled, spillEntry{path: path, tally: unitTally(tr)})
-	e.spills++
+	e.history.Spills++
 	e.om.spillsC.Inc()
 	e.tracer.Record(-1, obs.EvSpill, int64(e.spillSeq), int64(len(e.spilled)))
 	return true
@@ -1161,7 +1028,7 @@ func (e *engine) finishRoundLocked() {
 	e.cpUnits = e.cpUnits[:0]
 	e.lastCPExecs, e.lastCPTime = e.tally.Executions, time.Now()
 	if err != nil {
-		e.cpErrs++
+		e.history.CheckpointErrors++
 		e.om.cpErrors.Inc()
 	}
 	e.cond.Broadcast()
@@ -1169,13 +1036,13 @@ func (e *engine) finishRoundLocked() {
 
 func (e *engine) stopLocked() {
 	e.stopFlag = true
-	if e.leaseStop != nil && !e.leaseStopClosed {
-		// Unblock a worker waiting inside Frontier.Lease: it cannot see
-		// the stop flag from there.
-		e.leaseStopClosed = true
-		close(e.leaseStop)
-	}
 	e.cond.Broadcast()
+}
+
+// haltedLocked reports whether workers must push their units back and
+// leave the pool: the run stopped or failed, or the lease is yielded.
+func (e *engine) haltedLocked() bool {
+	return e.stopFlag || e.yielding || e.failErr != nil
 }
 
 func (e *engine) failLocked(err error) {

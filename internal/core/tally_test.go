@@ -115,6 +115,36 @@ func distinctTally(t *testing.T) Tally {
 	return tl
 }
 
+// distinctHistory sets every History field to a nonzero value of its
+// own: bools true, integers distinct.
+func distinctHistory(t *testing.T) History {
+	var h History
+	v := reflect.ValueOf(&h).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int:
+			f.SetInt(int64(2000 + i))
+		default:
+			t.Fatalf("History.%s has kind %s; teach distinctHistory about it", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	return h
+}
+
+// historyIn fails unless every History field has an equal namesake in s.
+func historyIn(t *testing.T, label string, h History, s Stats) {
+	t.Helper()
+	hv, sv := reflect.ValueOf(h), reflect.ValueOf(s)
+	for i := 0; i < hv.NumField(); i++ {
+		name := hv.Type().Field(i).Name
+		if f := sv.FieldByName(name); !f.IsValid() || !f.Equal(hv.Field(i)) {
+			t.Fatalf("%s: Stats.%s = %v, want %v", label, name, f, hv.Field(i))
+		}
+	}
+}
+
 // intFields returns the nonzero integer fields of a struct by name.
 func intFields(s any) map[string]int64 {
 	out := make(map[string]int64)
@@ -132,8 +162,14 @@ func intFields(s any) map[string]int64 {
 // write→load→adopt path into a run's Stats and metrics, MemFrontier's
 // totals and checkpoint, and the UnitReport wire encoding — so a
 // counter added to Tally cannot be dropped silently on any of them.
+// Likewise every History field reaches Stats through ApplyTo and
+// survives the checkpoint round trip into a resumed run's Stats.
 func TestTallyFieldsSurvive(t *testing.T) {
 	tl := distinctTally(t)
+	hist := distinctHistory(t)
+	var applied Stats
+	hist.ApplyTo(&applied)
+	historyIn(t, "ApplyTo", hist, applied)
 
 	var sum Tally
 	sum.Add(tl)
@@ -171,7 +207,7 @@ func TestTallyFieldsSurvive(t *testing.T) {
 		t.Fatal(err)
 	}
 	cp := NewCheckpoint(cfg.Seed, cfgDigest, progDigest)
-	cp.Tally, cp.Complete = tl, true
+	cp.Tally, cp.History, cp.Complete = tl, hist, true
 	if err := WriteCheckpoint(cfg.CheckpointPath, cp, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -179,13 +215,14 @@ func TestTallyFieldsSurvive(t *testing.T) {
 	if err != nil || quarantined || r == nil {
 		t.Fatalf("ResumeCheckpoint = (%v, %v, %v)", r, quarantined, err)
 	}
-	if r.Total() != tl {
-		t.Fatalf("checkpoint round trip: %+v, want %+v", r.Total(), tl)
+	if r.Total() != tl || r.History != hist {
+		t.Fatalf("checkpoint round trip: %+v %+v, want %+v %+v", r.Total(), r.History, tl, hist)
 	}
 	res, err := Run(cfg, pinnedProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
+	historyIn(t, "resumed run", hist, res.Stats)
 	got := intFields(res.Stats)
 	for name, n := range proj {
 		if got[name] != n {

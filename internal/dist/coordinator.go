@@ -47,7 +47,7 @@ type CoordinatorConfig struct {
 }
 
 // Coordinator owns the distributed frontier and serves the worker API:
-// /v1/join, /v1/lease, /v1/renew, /v1/complete, /v1/donate, plus
+// /v1/join, /v1/lease, /v1/renew, /v1/complete, plus
 // /metrics (Prometheus text) and /statusz (JSON) for observability.
 type Coordinator struct {
 	cfg        CoordinatorConfig
@@ -70,13 +70,11 @@ type Coordinator struct {
 	// emptySeed marks a resume from a checkpoint with no outstanding
 	// units: the exploration is already complete and Wait returns at once
 	// (the frontier itself never reports Done without having held units).
-	emptySeed   bool
-	quarantined bool
-	degraded    bool
-	spills      int
-	cpErrs      int
+	emptySeed bool
+	history   core.History
 	// starved tracks workers whose lease ask recently came up empty;
-	// its size is the donation demand broadcast to busy workers.
+	// its size, net of queued units, is the demand broadcast to busy
+	// workers, which makes one of them settle its lease early.
 	starved map[string]time.Time
 	idem    *idemCache
 
@@ -93,7 +91,7 @@ type Coordinator struct {
 }
 
 // starvedWindow is how long an empty lease response marks its worker as
-// hungry for donation purposes.
+// hungry for hand-off purposes.
 const starvedWindow = 2 * time.Second
 
 // stopLinger is how long the coordinator keeps answering (with Stop or
@@ -138,7 +136,7 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c.mRPCRetries = c.reg.Counter("cxlmc_rpc_retries_total", "transport retries reported by workers")
 	c.mCompletes = c.reg.Counter("cxlmc_lease_completions_total", "work units completed by workers")
 	c.mGrants = c.reg.Counter("cxlmc_lease_grants_total", "work-unit leases granted")
-	c.mDonated = c.reg.Counter("cxlmc_units_donated_total", "surplus work units donated back by workers")
+	c.mDonated = c.reg.Counter("cxlmc_units_donated_total", "work units handed back by workers as completion remainders")
 
 	if err := c.seedFrontier(); err != nil {
 		return nil, err
@@ -167,7 +165,7 @@ func (c *Coordinator) seedFrontier() error {
 	var r *core.Resume
 	if c.cfg.CheckpointPath != "" {
 		var err error
-		if r, c.quarantined, err = core.ResumeCheckpoint(c.cfg.CheckpointPath, c.cfg.Chaos,
+		if r, c.history.Quarantined, err = core.ResumeCheckpoint(c.cfg.CheckpointPath, c.cfg.Chaos,
 			c.cfg.Check.Seed, c.cfgDigest, c.progDigest); err != nil {
 			c.f.Close()
 			return err
@@ -179,7 +177,7 @@ func (c *Coordinator) seedFrontier() error {
 	}
 	c.f.Credit(core.UnitReport{Tally: r.Total(), Bugs: r.Bugs, Remainder: r.Units})
 	c.prior = r.Elapsed
-	c.degraded, c.spills, c.cpErrs, c.quarantined = r.Degraded, r.Spills, r.CheckpointErrors, r.Quarantined
+	c.history = r.History
 	c.resumed = true
 	// Nothing left: Wait finishes immediately with the checkpointed
 	// result, and joining workers are told Done on their first lease.
@@ -220,7 +218,6 @@ func (c *Coordinator) mux() *http.ServeMux {
 	mux.HandleFunc("/v1/lease", c.withChaos(c.handleLease))
 	mux.HandleFunc("/v1/renew", c.withChaos(c.handleRenew))
 	mux.HandleFunc("/v1/complete", c.withChaos(c.handleComplete))
-	mux.HandleFunc("/v1/donate", c.withChaos(c.handleDonate))
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		c.reg.WritePrometheus(w)
@@ -324,8 +321,10 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// wanted returns the current donation demand (workers recently starved
-// for units). Caller must hold c.mu.
+// wantedLocked returns the current hand-off demand: workers recently
+// starved for units, net of the units already queued for them (as
+// MemFrontier.Demand nets its waiters), so one hand-off is not repeated
+// while its units wait to be leased. Caller must hold c.mu.
 func (c *Coordinator) wantedLocked() int {
 	now := time.Now()
 	for wk, t := range c.starved {
@@ -333,7 +332,8 @@ func (c *Coordinator) wantedLocked() int {
 			delete(c.starved, wk)
 		}
 	}
-	return len(c.starved)
+	_, _, queued, _ := c.f.Totals()
+	return max(len(c.starved)-queued, 0)
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
@@ -402,36 +402,28 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if c.replayed(w, req.ReqID) {
 		return
 	}
+	// Remainder units are requeued and checkpointed: one that does not
+	// decode would fail the worker that leases it and get the whole
+	// checkpoint quarantined. Reject the report and leave the lease be.
+	for i, snap := range req.Report.Remainder {
+		if err := decision.NewTree().Restore(snap); err != nil {
+			http.Error(w, fmt.Sprintf("remainder unit %d does not decode: %v", i, err), http.StatusBadRequest)
+			return
+		}
+	}
 	stale := c.f.CompleteReport(req.UnitID, req.Epoch, req.Report)
 	var resp completeResponse
 	resp.Stale = stale
 	c.mu.Lock()
 	if !stale {
 		c.mRPCRetries.Add(int64(req.Report.RPCRetries))
+		c.mDonated.Add(int64(len(req.Report.Remainder)))
 		if len(req.Report.Bugs) > 0 && !c.cfg.Check.ContinueAfterBug {
 			// Mirror the single-process engine: first bug stops the run.
 			c.stopFlag = true
 			c.f.Stop()
 		}
 	}
-	resp.Stop = c.stopFlag
-	resp.Wanted = c.wantedLocked()
-	c.mu.Unlock()
-	c.reply(w, req.ReqID, resp)
-}
-
-func (c *Coordinator) handleDonate(w http.ResponseWriter, r *http.Request) {
-	var req donateRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	if c.replayed(w, req.ReqID) {
-		return
-	}
-	c.f.Add(req.Units)
-	c.mDonated.Add(int64(len(req.Units)))
-	var resp donateResponse
-	c.mu.Lock()
 	resp.Stop = c.stopFlag
 	resp.Wanted = c.wantedLocked()
 	c.mu.Unlock()
@@ -453,7 +445,7 @@ func (c *Coordinator) checkpointLoop() {
 		case <-t.C:
 			if err := c.writeCheckpoint(false); err != nil {
 				c.mu.Lock()
-				c.cpErrs++
+				c.history.CheckpointErrors++
 				c.mu.Unlock()
 			}
 		}
@@ -470,10 +462,7 @@ func (c *Coordinator) writeCheckpoint(complete bool) error {
 	cp.Elapsed = c.prior + time.Since(c.start)
 	cp.Complete = complete
 	cp.Interrupted = c.interrupted
-	cp.Degraded = c.degraded
-	cp.Spills = c.spills
-	cp.CheckpointErrors = c.cpErrs
-	cp.Quarantined = c.quarantined
+	cp.History = c.history
 	c.mu.Unlock()
 	return core.WriteCheckpoint(c.cfg.CheckpointPath, cp, c.cfg.Chaos)
 }
@@ -508,9 +497,9 @@ func (c *Coordinator) Wait(stop <-chan struct{}) (*core.Result, error) {
 		stopping := c.stopFlag
 		c.mu.Unlock()
 		if stopping {
-			// Stopping: wait for outstanding leases to resolve (complete,
-			// flush, or expire and be reclaimed) so the final checkpoint
-			// holds every unexplored unit.
+			// Stopping: wait for outstanding leases to resolve (settle,
+			// with any remainder, or expire and be reclaimed) so the final
+			// checkpoint holds every unexplored unit.
 			if _, _, _, leased := c.f.Totals(); leased == 0 {
 				break
 			}
@@ -534,14 +523,9 @@ func (c *Coordinator) Wait(stop <-chan struct{}) (*core.Result, error) {
 	stats.Complete = complete
 	stats.Interrupted = c.interrupted
 	stats.Resumed = c.resumed
-	stats.Degraded = c.degraded
-	stats.Spills = c.spills
-	stats.CheckpointErrors = c.cpErrs
-	stats.Quarantined = c.quarantined
+	c.history.ApplyTo(&stats)
 	c.mu.Unlock()
-	stats.LeaseReclaims = fs.Reclaims
-	stats.RPCRetries = fs.RPCRetries
-	stats.StaleCompletions = fs.StaleRejects
+	fs.ApplyTo(&stats)
 	core.SortBugs(bugs)
 	core.MinimizeBugs(c.cfg.Check, c.cfg.Program, bugs)
 	if c.cfg.CheckpointPath != "" {
@@ -552,8 +536,8 @@ func (c *Coordinator) Wait(stop <-chan struct{}) (*core.Result, error) {
 				return nil, err
 			}
 			c.mu.Lock()
-			c.cpErrs++
-			stats.CheckpointErrors = c.cpErrs
+			c.history.CheckpointErrors++
+			stats.CheckpointErrors = c.history.CheckpointErrors
 			c.mu.Unlock()
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"os"
 	"path/filepath"
 	"sort"
@@ -17,6 +19,7 @@ import (
 	"repro/internal/decision"
 	"repro/internal/recipe"
 	"repro/internal/recipe/cceh"
+	"repro/internal/recipe/pmasstree"
 )
 
 // The distributed-exploration suite: end-to-end parity over real HTTP,
@@ -66,6 +69,16 @@ func fixture(keys int) func(*core.Program) {
 func ccehProgram(keys int) func(*core.Program) {
 	return recipe.Program(cceh.Benchmark, recipe.Config{Keys: keys, Bugs: recipe.Bug(1)})
 }
+
+// massTree is the paper's P-MassTree benchmark at 32 keys without
+// seeded bugs: hundreds of executions from one unit at the start, so
+// workers only both explore if the first holder hands work off.
+var massTree = recipe.Program(pmasstree.Benchmark, recipe.Config{Keys: 32})
+
+// massTreeBase is massTree's single-process result, computed once.
+var massTreeBase = sync.OnceValues(func() (*core.Result, error) {
+	return core.Run(core.Config{}, massTree)
+})
 
 func distinctBugs(bugs []core.Bug) []string {
 	seen := map[string]bool{}
@@ -327,17 +340,39 @@ func TestDistIdempotentRequests(t *testing.T) {
 	}
 	tr := NewTransport(c.Addr(), TransportConfig{})
 	snap := [][]byte{decision.NewTree().Snapshot()}
+	// A second queued unit, so a re-applied lease would grant it.
+	c.f.Add(snap)
 
-	addedBefore, _ := c.f.UnitCounts()
-	var dr donateResponse
+	var lr leaseResponse
 	for i := 0; i < 3; i++ {
-		if err := tr.Call("/v1/donate", donateRequest{Worker: "w", ReqID: "dup-donate-1", Units: snap}, &dr); err != nil {
+		var r leaseResponse
+		if err := tr.Call("/v1/lease", leaseRequest{Worker: "w", ReqID: "dup-lease-1"}, &r); err != nil {
 			t.Fatal(err)
 		}
+		if r.Unit == nil || (lr.Unit != nil && r.Unit.ID != lr.Unit.ID) {
+			t.Fatalf("delivery %d of one lease request got %+v, want the first grant replayed", i+1, r.Unit)
+		}
+		lr = r
 	}
-	addedAfter, _ := c.f.UnitCounts()
-	if addedAfter != addedBefore+1 {
-		t.Fatalf("3 deliveries of one donate added %d units, want 1", addedAfter-addedBefore)
+	if _, _, _, leased := c.f.Totals(); leased != 1 {
+		t.Fatalf("3 deliveries of one lease request hold %d leases, want 1", leased)
+	}
+
+	addedBefore, _ := c.f.UnitCounts()
+	for i := 0; i < 3; i++ {
+		var cr completeResponse
+		if err := tr.Call("/v1/complete", completeRequest{
+			Worker: "w", ReqID: "dup-complete-1", UnitID: lr.Unit.ID, Epoch: lr.Unit.Epoch,
+			Report: core.UnitReport{Remainder: snap},
+		}, &cr); err != nil {
+			t.Fatal(err)
+		}
+		if cr.Stale {
+			t.Fatalf("delivery %d of one completion was re-applied (answered stale)", i+1)
+		}
+	}
+	if added, done := c.f.UnitCounts(); added != addedBefore+1 || done != 1 {
+		t.Fatalf("3 deliveries of one completion: %d units added, %d completed; want 1 and 1", added-addedBefore, done)
 	}
 
 	stop := make(chan struct{})
@@ -387,9 +422,15 @@ func midRunCheckpoint(t *testing.T, check core.Config, prog func(*core.Program),
 	if mid, _, _, _ := c1.f.Totals(); mid.Executions <= 0 || mid.Executions >= total {
 		t.Fatalf("mid-run checkpoint covers %d of %d executions; wanted a strict middle", mid.Executions, total)
 	}
-	c1.srv.Close()
-	close(c1.cpStop)
-	c1.f.Close()
+	kill(c1)
+}
+
+// kill tears a coordinator down the way SIGKILL would: no Wait, no final
+// checkpoint.
+func kill(c *Coordinator) {
+	c.srv.Close()
+	close(c.cpStop)
+	c.f.Close()
 }
 
 // resumeDistributed runs a coordinator resuming the checkpoint at path
@@ -612,5 +653,213 @@ func TestDistWorkerGivesUpOnDeadCoordinator(t *testing.T) {
 	}
 	if d := time.Since(start); d < 2*time.Second || d > 30*time.Second {
 		t.Fatalf("gave up after %v; want a few seconds", d)
+	}
+}
+
+// TestDistWorkersShareWork: two workers, each with a local pool of two,
+// split a run that starts as a single unit. The first holder hands work
+// to its starving peer by settling its lease early, so both explore,
+// and the merged result still matches a single-process run.
+func TestDistWorkersShareWork(t *testing.T) {
+	prog := massTree
+	base, err := massTreeBase()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := core.Config{Workers: 2}
+	c, err := StartCoordinator(CoordinatorConfig{
+		Check: check, Program: prog, Addr: "127.0.0.1:0",
+		LeaseTTL: 300 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := make([]*core.Result, 2)
+	var wg sync.WaitGroup
+	for i := range local {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, err := RunWorker(WorkerConfig{
+				Check: check, Program: prog,
+				Coordinator: c.Addr(), Name: fmt.Sprintf("w%d", i),
+			})
+			if err != nil {
+				t.Errorf("worker %d: %v", i, err)
+			}
+			local[i] = res
+		}(i)
+	}
+	res, err := c.Wait(nil)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range local {
+		if r == nil || r.Executions == 0 {
+			t.Errorf("worker %d explored nothing (local result %+v)", i, r)
+		}
+	}
+	assertParity(t, "shared", res, base)
+}
+
+// TestDistCrashAfterHandoff: a worker hands work off and then crashes
+// while holding its next lease. The victim reaches the coordinator
+// through a proxy that cuts it off — no renewal, no completion, exactly
+// what the coordinator sees of a crash — once work has been handed off
+// (more units added than the seed) and both workers hold a lease. The
+// victim's lease is reclaimed and the survivor finishes; since a hand-off
+// settles a lease, the reclaimed unit holds exactly the victim's
+// unsettled work and the result matches a single-process run.
+func TestDistCrashAfterHandoff(t *testing.T) {
+	prog := massTree
+	base, err := massTreeBase()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := core.Config{Workers: 2}
+	c, err := StartCoordinator(CoordinatorConfig{
+		Check: check, Program: prog, Addr: "127.0.0.1:0",
+		LeaseTTL: 300 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err := url.Parse("http://" + c.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// mu is held across each forwarded victim request, so the cut
+	// decision never sees the coordinator's state with a victim request
+	// in flight: with leased >= 2 each worker holds its one lease, and the
+	// victim's stays unsettled once cut.
+	fwd := httputil.NewSingleHostReverseProxy(target)
+	var mu sync.Mutex
+	cut := false
+	decide := func() bool {
+		if !cut {
+			added, _ := c.f.UnitCounts()
+			_, _, _, leased := c.f.Totals()
+			cut = added >= 2 && leased >= 2
+		}
+		return cut
+	}
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		if decide() {
+			http.Error(w, "victim cut off", http.StatusServiceUnavailable)
+			return
+		}
+		fwd.ServeHTTP(w, r)
+	}))
+	defer proxy.Close()
+	waited := make(chan struct{})
+	go func() {
+		for {
+			mu.Lock()
+			done := decide()
+			mu.Unlock()
+			select {
+			case <-waited:
+				return
+			case <-time.After(time.Millisecond):
+			}
+			if done {
+				return
+			}
+		}
+	}()
+
+	// The victim joins first and takes the seed unit; the survivor joins
+	// once it holds it, so the victim is the one to hand work off.
+	victimStop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, name := range []string{"victim", "survivor"} {
+		if name == "survivor" {
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+				if _, _, _, leased := c.f.Totals(); leased > 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("the victim never leased the seed unit")
+				}
+			}
+		}
+		addr := c.Addr()
+		wcheck := check
+		if name == "victim" {
+			addr = proxy.URL
+			wcheck.Stop = victimStop
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := RunWorker(WorkerConfig{
+				Check: wcheck, Program: prog, Coordinator: addr, Name: name,
+			}); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+		}()
+	}
+	res, err := c.Wait(nil)
+	close(waited)
+	close(victimStop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !cut {
+		t.Fatal("the victim was never cut off: no hand-off happened")
+	}
+	assertParity(t, "crash after hand-off", res, base)
+	if res.LeaseReclaims < 1 {
+		t.Fatalf("LeaseReclaims = %d, want >= 1", res.LeaseReclaims)
+	}
+}
+
+// TestDistRejectsUndecodableRemainder: the coordinator decodes every
+// remainder unit a completion carries before accepting it. A report with
+// one that does not decode is rejected and leaves its lease alone, so
+// the next checkpoint holds only decodable units and resumes without
+// quarantine.
+func TestDistRejectsUndecodableRemainder(t *testing.T) {
+	check := core.Config{ContinueAfterBug: true}
+	path := filepath.Join(t.TempDir(), "dist.cp")
+	c, err := StartCoordinator(CoordinatorConfig{
+		Check: check, Program: fixture(4), Addr: "127.0.0.1:0",
+		CheckpointPath: path, CheckpointInterval: time.Hour, // written by hand below
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kill(c)
+	tr := NewTransport(c.Addr(), TransportConfig{})
+	var lr leaseResponse
+	if err := tr.Call("/v1/lease", leaseRequest{Worker: "hand", ReqID: "hand-lease-1"}, &lr); err != nil {
+		t.Fatal(err)
+	}
+	if lr.Unit == nil {
+		t.Fatal("no unit leased")
+	}
+	var cr completeResponse
+	err = tr.Call("/v1/complete", completeRequest{
+		Worker: "hand", ReqID: "hand-complete-1", UnitID: lr.Unit.ID, Epoch: lr.Unit.Epoch,
+		Report: core.UnitReport{Remainder: [][]byte{{0xDE, 0xAD}}},
+	}, &cr)
+	if !IsRejected(err) {
+		t.Errorf("undecodable remainder: err = %v, want a rejection", err)
+	}
+	if _, _, queued, leased := c.f.Totals(); queued != 0 || leased != 1 {
+		t.Errorf("after the rejected completion: %d queued, %d leased; want the lease untouched (0, 1)", queued, leased)
+	}
+	if err := c.writeCheckpoint(false); err != nil {
+		t.Fatal(err)
+	}
+	r, quarantined, err := core.ResumeCheckpoint(path, nil, check.Seed, c.cfgDigest, c.progDigest)
+	if err != nil || quarantined || r == nil {
+		t.Fatalf("resuming the checkpoint: r=%v quarantined=%v err=%v", r, quarantined, err)
 	}
 }

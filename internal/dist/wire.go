@@ -1,8 +1,10 @@
 // Package dist implements fault-tolerant distributed exploration: an
 // HTTP coordinator that owns the frontier of subtree work units, and
-// worker processes that lease units from it, explore them with the core
-// engine's local pool, stream back stats and bugs, and re-donate splits
-// when the cluster is hungry.
+// worker processes that each hold one lease at a time
+// (core.RunFrontier), explore it with the core engine's local pool and
+// settle it with stats, bugs and any unexplored remainder. A worker
+// hands work to starving peers the same way: it settles its lease early
+// and the remainder is requeued for them.
 //
 // The robustness model follows the lease/ownership-recovery idiom of
 // disaggregated-memory systems: every lease carries a deadline and an
@@ -13,7 +15,9 @@
 // retry, exponential backoff with jitter and per-call timeouts, so
 // transient network faults (which internal/chaos can inject: drops,
 // delays, duplicates, partitions, 5xx) never kill a run; a worker that
-// cannot reach the coordinator degrades to draining its local queue.
+// cannot reach the coordinator keeps exploring its leased unit. Because
+// a lease's stored snapshot is all of its unsettled work, a reclaimed
+// unit re-executes to exactly what its crashed holder never reported.
 // The coordinator checkpoints its frontier in the same version-2 format
 // single-process runs use, and resumes through the same adoption
 // (core.ResumeCheckpoint: identity checks, every unit decoded before
@@ -71,7 +75,8 @@ type leaseResponse struct {
 	// Stop reports the coordinator is halting the run (bug found without
 	// ContinueAfterBug, or operator stop); workers drain and exit.
 	Stop bool `json:"stop,omitempty"`
-	// Wanted is how many units the coordinator would like donated.
+	// Wanted is how many more units starving workers want than are
+	// queued; a busy worker seeing it settles its lease early.
 	Wanted int `json:"wanted,omitempty"`
 	// WaitMs suggests how long to wait before asking again when no unit
 	// was available.
@@ -113,15 +118,4 @@ type renewResponse struct {
 	StaleIDs []uint64 `json:"stale_ids,omitempty"`
 	Stop     bool     `json:"stop,omitempty"`
 	Wanted   int      `json:"wanted,omitempty"`
-}
-
-type donateRequest struct {
-	Worker string   `json:"worker"`
-	ReqID  string   `json:"req_id"`
-	Units  [][]byte `json:"units"`
-}
-
-type donateResponse struct {
-	Stop   bool `json:"stop,omitempty"`
-	Wanted int  `json:"wanted,omitempty"`
 }

@@ -16,8 +16,8 @@ import (
 // WorkerConfig configures RunWorker.
 type WorkerConfig struct {
 	// Check is the exploration configuration; its digests must match the
-	// coordinator's or the join is rejected. Frontier/CheckpointPath/
-	// SpillDir must be empty (the coordinator owns durable state).
+	// coordinator's or the join is rejected. CheckpointPath and SpillDir
+	// must be empty (the coordinator owns durable state).
 	Check core.Config
 	// Program is the program under test.
 	Program func(*core.Program)
@@ -39,11 +39,11 @@ type WorkerConfig struct {
 
 // RemoteFrontier is the worker-side core.Frontier implementation: it
 // speaks the coordinator's HTTP API through the retrying transport,
-// renews its held leases in the background, and tracks the
-// coordinator's donation demand. The engine using it keeps exploring
-// its local queue when the coordinator is unreachable — only an idle
-// worker blocks in Lease, retrying with capped backoff until the
-// coordinator comes back or stop fires.
+// renews its held lease in the background, and tracks the coordinator's
+// demand for hand-offs. The engine using it keeps exploring its leased
+// unit when the coordinator is unreachable — only between leases does
+// it block in Lease, retrying with capped backoff until the coordinator
+// comes back or stop fires.
 type RemoteFrontier struct {
 	t    *Transport
 	name string
@@ -241,13 +241,13 @@ func sleepOrStop(d time.Duration, stop <-chan struct{}) bool {
 	}
 }
 
-// Complete implements core.Frontier: it reports every unit derived from
-// u explored, attaching the transport retries accrued since the last
-// report (so the coordinator's sum stays exact across workers). A stale
-// rejection is counted, not an error. A transport failure after retries
-// is survivable — the lease expires and the unit is re-issued — so it is
-// swallowed too; the lease is dropped from renewal either way.
-func (rf *RemoteFrontier) Complete(u *core.LeasedUnit, rep core.UnitReport) error {
+// Complete implements core.Frontier: it settles lease u, attaching the
+// transport retries accrued since the last report (so the coordinator's
+// sum stays exact across workers). A stale rejection is counted. A
+// transport failure after retries is survivable — the lease expires and
+// the unit is re-issued — so it is swallowed; the lease is dropped from
+// renewal either way.
+func (rf *RemoteFrontier) Complete(u *core.LeasedUnit, rep core.UnitReport) {
 	rf.mu.Lock()
 	delete(rf.held, u.ID)
 	rf.mu.Unlock()
@@ -264,7 +264,7 @@ func (rf *RemoteFrontier) Complete(u *core.LeasedUnit, rep core.UnitReport) erro
 		Report: rep,
 	}, &resp)
 	if err != nil {
-		return nil
+		return
 	}
 	rf.wanted.Store(int64(resp.Wanted))
 	if resp.Stale {
@@ -273,25 +273,10 @@ func (rf *RemoteFrontier) Complete(u *core.LeasedUnit, rep core.UnitReport) erro
 	if resp.Stop {
 		rf.noteStop()
 	}
-	return nil
-}
-
-// Donate implements core.Frontier.
-func (rf *RemoteFrontier) Donate(snaps [][]byte) error {
-	var resp donateResponse
-	err := rf.t.Call("/v1/donate", donateRequest{Worker: rf.name, ReqID: rf.reqID("donate"), Units: snaps}, &resp)
-	if err != nil {
-		return err
-	}
-	rf.wanted.Store(int64(resp.Wanted))
-	if resp.Stop {
-		rf.noteStop()
-	}
-	return nil
 }
 
 // Demand implements core.Frontier from the coordinator's last reported
-// donation demand — no RPC, so the engine may sample it every boundary.
+// demand — no RPC, so the engine may sample it every boundary.
 func (rf *RemoteFrontier) Demand() int { return int(rf.wanted.Load()) }
 
 // Stats implements core.Frontier with this worker's local view: its own
@@ -304,7 +289,7 @@ func (rf *RemoteFrontier) Stats() core.FrontierStats {
 	}
 }
 
-// RunWorker joins the coordinator, runs the core engine against a
+// RunWorker joins the coordinator, runs core.RunFrontier against a
 // RemoteFrontier, and returns this worker's local result (the
 // coordinator's Wait result is the authoritative global one). The
 // coordinator's stop/done signal is merged into the engine's stop
@@ -312,9 +297,6 @@ func (rf *RemoteFrontier) Stats() core.FrontierStats {
 func RunWorker(cfg WorkerConfig) (*core.Result, error) {
 	if cfg.Name == "" {
 		cfg.Name = "worker-" + strconv.Itoa(os.Getpid())
-	}
-	if cfg.Check.Frontier != nil || cfg.Check.CheckpointPath != "" || cfg.Check.SpillDir != "" {
-		return nil, fmt.Errorf("dist: worker Check must not set Frontier, CheckpointPath or SpillDir")
 	}
 	tcfg := cfg.Transport
 	if tcfg.Chaos == nil {
@@ -352,10 +334,9 @@ func RunWorker(cfg WorkerConfig) (*core.Result, error) {
 	defer rf.Close()
 
 	ccfg := cfg.Check
-	ccfg.Frontier = rf
 	ccfg.ContinueAfterBug = jr.ContinueAfterBug
 	ccfg.Stop = mergeStop(cfg.Check.Stop, rf.Stopped())
-	return core.Run(ccfg, cfg.Program)
+	return core.RunFrontier(ccfg, cfg.Program, rf)
 }
 
 // mergeStop fans two stop channels into one.
