@@ -65,6 +65,15 @@ type Checker struct {
 	current  *Thread // thread holding the baton, nil in scheduler context
 	aborted  bool    // current execution ended early (bug)
 	poisoned map[memmodel.LineID]bool
+	// A thread running scheduler steps inline sets scheduling for the
+	// duration, so a panic they raise is the checker's, not the
+	// thread's. When a step picks another thread, the running thread
+	// leaves the pick in pending, sets handoff and yields; the checker
+	// goroutine grants the pick without drawing again. pending is nil
+	// with handoff set when the steps ended the execution.
+	scheduling bool
+	handoff    bool
+	pending    *Thread
 	// dirty quarantines reusable state after a watchdog abandoned a
 	// thread: the wedged goroutine may still hold references into the
 	// scheduler, arenas and memory, so the next reset discards them all
@@ -114,6 +123,7 @@ type Checker struct {
 	forkOK      bool
 	forkStep    int
 	fast        bool
+	fastUntil   int
 	stepLog     []stepRec
 	loadLog     []loadRec
 	loadPos     int
@@ -271,6 +281,9 @@ func (ck *Checker) resetExecution() {
 	ck.heapNext = heapBase
 	ck.current = nil
 	ck.aborted = false
+	ck.scheduling = false
+	ck.handoff = false
+	ck.pending = nil
 	if ck.cfg.Poison {
 		if ck.poisoned == nil {
 			ck.poisoned = make(map[memmodel.LineID]bool)
@@ -313,6 +326,12 @@ func (ck *Checker) runOneExecution() {
 	ck.tracer.Record(ck.workerID, obs.EvExecEnd, int64(ck.execNo), ck.tally.Steps-stepsBefore)
 }
 
+// runExecutionLoop drives one execution from the checker goroutine: it
+// runs scheduler steps until one grants a thread, grants it, and repeats
+// once the baton is back, until nextStep reports the execution over. A
+// granted thread runs the following steps itself (Thread.enter) and
+// keeps the baton while they pick it again, so the baton comes back here
+// only when the thread changes, blocks or exits.
 func (ck *Checker) runExecutionLoop() {
 	ck.resetExecution()
 	defer ck.sch.Teardown()
@@ -324,10 +343,10 @@ func (ck *Checker) runExecutionLoop() {
 	// logs stay untouched while fast — they ARE the prefix — and are
 	// truncated to the consumed prefix at the fork point; without a fork
 	// they restart empty.
-	fastUntil := 0
+	ck.fastUntil = 0
 	if ck.forkOK && ck.forkStep > 1 && ck.forkEnabled && !ck.dirty {
-		fastUntil = ck.forkStep
-		if fastUntil-1 > len(ck.stepLog) {
+		ck.fastUntil = ck.forkStep
+		if ck.fastUntil-1 > len(ck.stepLog) {
 			internalPanic("prefix-fork: step log shorter than the armed fork point")
 		}
 		ck.fast = true
@@ -349,15 +368,25 @@ func (ck *Checker) runExecutionLoop() {
 		ck.forkOK = ck.forkEnabled && !ck.dirty
 	}()
 
-	// timedOut also ends the loop: after the grant watchdog abandons a
-	// thread on deadline expiry, granting again would block forever on the
-	// abandoned thread's resume channel.
+	for t := ck.nextStep(); t != nil; {
+		t = ck.grantTo(t)
+	}
+}
+
+// nextStep runs scheduler steps — the limit, deadline and fork-replay
+// checks, then a commit or a grant — until one step grants a thread,
+// and returns that thread without granting it. It returns nil when the
+// execution is over: nothing can make progress, a bug aborted it or the
+// deadline passed. The checker goroutine calls it between grants; a running thread
+// calls it inline from Thread.enter, so the step sequence, its RNG draws
+// and its log are the same whichever goroutine runs it.
+func (ck *Checker) nextStep() *Thread {
 	for !ck.aborted && !ck.timedOut {
 		ck.stepNo++
 		ck.tally.Steps++
 		if ck.stepNo > ck.cfg.MaxStepsPerExec {
 			ck.reportBug(BugLivelock, fmt.Sprintf("step limit exceeded (%d): livelock in checked program?", ck.cfg.MaxStepsPerExec), nil)
-			return
+			return nil
 		}
 		// A per-execution decision-event budget turns state-space blowup in
 		// one execution (a flush/fence storm multiplying crash branches)
@@ -365,27 +394,29 @@ func (ck *Checker) runExecutionLoop() {
 		if ck.cfg.MaxEventsPerExec > 0 && ck.tree.Depth() > ck.cfg.MaxEventsPerExec {
 			ck.reportBug(BugResourceExhausted, fmt.Sprintf(
 				"decision-event limit exceeded (%d): per-execution state-space blowup in checked program?", ck.cfg.MaxEventsPerExec), nil)
-			return
+			return nil
 		}
 		// Honor MaxTime mid-execution, at step granularity; the check is
 		// throttled so the hot loop does not pay a clock read per step.
 		if !ck.deadline.IsZero() && ck.stepNo&1023 == 0 && time.Now().After(ck.deadline) {
 			ck.timedOut = true
-			return
+			return nil
 		}
 
 		if ck.fast {
-			if ck.stepNo < fastUntil {
-				ck.replayStep(ck.stepLog[ck.stepNo-1])
+			if ck.stepNo < ck.fastUntil {
 				ck.tally.StepsSaved++
+				if t := ck.replayStep(ck.stepLog[ck.stepNo-1]); t != nil {
+					return t
+				}
 				continue
 			}
 			// Fork point reached: drop the log suffix belonging to the
 			// previous execution and record live from here on.
 			ck.fast = false
-			ck.stepLog = ck.stepLog[:fastUntil-1]
+			ck.stepLog = ck.stepLog[:ck.fastUntil-1]
 			ck.loadLog = ck.loadLog[:ck.loadPos]
-			ck.om.stepsSaved.Add(int64(fastUntil - 1))
+			ck.om.stepsSaved.Add(int64(ck.fastUntil - 1))
 		}
 
 		runnable := ck.runnableThreads()
@@ -400,7 +431,7 @@ func (ck *Checker) runExecutionLoop() {
 				}
 				ck.reportBug(BugDeadlock, "deadlock: all live threads blocked:"+names, nil)
 			}
-			return
+			return nil
 		case len(runnable) == 0:
 			commit = true
 		case len(committable) == 0:
@@ -423,27 +454,29 @@ func (ck *Checker) runExecutionLoop() {
 				})
 			}
 			ck.commitTo(c)
-		} else {
-			i := ck.rng.Intn(len(runnable))
-			t := runnable[i]
-			if ck.forkEnabled {
-				ck.stepLog = append(ck.stepLog, stepRec{
-					op: opGrant, chance: chance, pickN: int32(len(runnable)), pick: int32(i),
-					thread: int32(t.st.ID),
-				})
-			}
-			ck.grantTo(t)
+			continue
 		}
+		i := ck.rng.Intn(len(runnable))
+		t := runnable[i]
+		if ck.forkEnabled {
+			ck.stepLog = append(ck.stepLog, stepRec{
+				op: opGrant, chance: chance, pickN: int32(len(runnable)), pick: int32(i),
+				thread: int32(t.st.ID),
+			})
+		}
+		return t
 	}
+	return nil
 }
 
 // replayStep re-executes one recorded scheduler step on the fast path:
 // the RNG draws are reproduced and validated against the recording (the
 // streams must be identical or the prefix property is broken), the
-// thread/buffer scans are skipped, and the step's effect — a grant or a
-// commit — runs fully live, so every memory-model mutation, failure
-// injection and pruning decision is recomputed exactly as recorded.
-func (ck *Checker) replayStep(rec stepRec) {
+// thread/buffer scans are skipped, and the step's effect runs fully
+// live, so every memory-model mutation, failure injection and pruning
+// decision is recomputed exactly as recorded. A grant step returns the
+// thread to grant; a commit step commits and returns nil.
+func (ck *Checker) replayStep(rec stepRec) *Thread {
 	if rec.chance {
 		commit := ck.rng.Intn(100) < commitChance
 		if commit != (rec.op != opGrant) {
@@ -457,12 +490,11 @@ func (ck *Checker) replayStep(rec stepRec) {
 		internalPanic("prefix-fork: recorded thread index out of range")
 	}
 	t := ck.threads[rec.thread]
-	switch rec.op {
-	case opGrant:
-		ck.grantTo(t)
-	default:
-		ck.commitTo(commitTarget{t: t, fb: rec.op == opCommitFB})
+	if rec.op == opGrant {
+		return t
 	}
+	ck.commitTo(commitTarget{t: t, fb: rec.op == opCommitFB})
+	return nil
 }
 
 // choose resolves a decision point through the tree, recording the
@@ -560,52 +592,40 @@ func (ck *Checker) committableBuffers() []commitTarget {
 	return out
 }
 
-// grantTo hands the baton to t, then processes completion wakeups. When
-// a watchdog budget applies, a thread that fails to yield in time is
-// abandoned: either it wedged (blocked outside the simulated API —
-// reported as a bug) or the run's deadline expired while it ran.
-func (ck *Checker) grantTo(t *Thread) {
+// grantTo hands the baton to t and returns the next thread to grant,
+// or nil when the execution is over. When t yielded with a pick it made
+// inline (handoff), that pick is the next thread; otherwise the checker
+// goroutine runs the next steps itself. Under a watchdog budget a thread
+// stuck outside the simulated API is abandoned: either it wedged
+// (blocked in a callback — reported as a bug) or the run's deadline
+// passed while it ran.
+func (ck *Checker) grantTo(t *Thread) *Thread {
 	ck.current = t
-	if d, isWedgeBudget := ck.grantBudget(); d > 0 {
-		if !ck.sch.GrantTimeout(t.st, d) {
-			ck.current = nil
-			// The abandoned goroutine may still touch the scheduler,
-			// arenas and memory; quarantine them all at the next reset.
-			ck.dirty = true
-			if isWedgeBudget {
-				ck.reportBug(BugWedged, fmt.Sprintf(
-					"thread %s/%s did not yield within %v: callback blocking outside the simulated API?",
-					t.mach.name, t.name, d), t)
-			} else {
-				ck.timedOut = true
-			}
-			return
+	if !ck.sch.GrantWatch(t.st, ck.cfg.WedgeTimeout, ck.deadline) {
+		ck.current = nil
+		// The abandoned goroutine may still hold references into the
+		// scheduler, arenas and memory; quarantine them all at the next
+		// reset.
+		ck.dirty = true
+		if !ck.deadline.IsZero() && !time.Now().Before(ck.deadline) {
+			ck.timedOut = true
+		} else {
+			ck.reportBug(BugWedged, fmt.Sprintf(
+				"thread %s/%s did not yield within %v: callback blocking outside the simulated API?",
+				t.mach.name, t.name, ck.cfg.WedgeTimeout), t)
 		}
-	} else {
-		ck.sch.Grant(t.st)
+		return nil
 	}
 	ck.current = nil
 	if t.quiesced() {
 		ck.wakeJoiners(t.mach)
 	}
-}
-
-// grantBudget returns the watchdog budget for one grant and whether the
-// binding constraint is WedgeTimeout (true) or the run deadline (false).
-// 0 means no watchdog: the plain, timer-free grant path.
-func (ck *Checker) grantBudget() (time.Duration, bool) {
-	w := ck.cfg.WedgeTimeout
-	if ck.deadline.IsZero() {
-		return w, true
+	if ck.handoff {
+		next := ck.pending
+		ck.pending, ck.handoff = nil, false
+		return next
 	}
-	m := time.Until(ck.deadline)
-	if m < time.Millisecond {
-		m = time.Millisecond
-	}
-	if w > 0 && w < m {
-		return w, true
-	}
-	return m, false
+	return ck.nextStep()
 }
 
 // commitTo commits buffer head c.
@@ -701,6 +721,13 @@ func (ck *Checker) onThreadPanic(st *sched.Thread, v any) {
 		} else {
 			ck.internalErr = ck.newInternalError(d.Error())
 		}
+		ck.aborted = true
+		return
+	}
+	if ck.scheduling {
+		// Scheduler steps running inline on this thread's goroutine:
+		// the panic is the checker's, whichever goroutine raised it.
+		ck.internalErr = ck.newInternalError(fmt.Sprintf("panic in scheduler step: %v", v))
 		ck.aborted = true
 		return
 	}

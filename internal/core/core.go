@@ -212,16 +212,18 @@ type Config struct {
 	// road there is. See package repro/internal/chaos.
 	Chaos *chaos.Injector
 
-	// WedgeTimeout bounds the wall-clock time a simulated thread may run
-	// between scheduler yields. A checked-program callback that blocks
-	// outside the simulated API (a real channel receive, a syscall) hangs
-	// the lock-step scheduler forever without it; with it, the watchdog
-	// abandons the thread, reports a BugWedged, and the run continues.
-	// It must be generous relative to a single callback's compute time
-	// (the watchdog cannot tell "blocked" from "still computing"); values
-	// under a second are for tests. 0 disables the watchdog, unless
-	// MaxTime is set — the same mechanism makes MaxTime effective
-	// mid-execution.
+	// WedgeTimeout bounds the wall-clock time a simulated thread may spend
+	// in its own code between two simulated operations. A checked-program
+	// callback that blocks outside the simulated API (a real channel
+	// receive, a syscall) hangs the lock-step scheduler forever without
+	// it; with it, the watchdog abandons the thread once a whole window
+	// passes without a simulated operation, reports a BugWedged, and the
+	// run continues. A thread that keeps issuing operations is never
+	// abandoned, however long it runs. The window must be generous
+	// relative to a single callback's compute time (the watchdog cannot
+	// tell "blocked" from "still computing"); values under a second are
+	// for tests. 0 disables the watchdog, unless MaxTime is set — the
+	// same watchdog makes MaxTime effective mid-execution.
 	WedgeTimeout time.Duration
 
 	// Obs, when non-nil, is the metrics registry the run instruments

@@ -28,6 +28,7 @@ func (mu *Mutex) Name() string { return mu.name }
 // protected data may be mid-update and need recovery.
 func (mu *Mutex) Lock(t *Thread) (ownerFailed bool) {
 	t.enter()
+	defer t.st.Leave()
 	for mu.owner != nil {
 		mu.waiters = append(mu.waiters, t)
 		t.st.Block("mutex " + mu.name)
@@ -39,6 +40,7 @@ func (mu *Mutex) Lock(t *Thread) (ownerFailed bool) {
 // TryLock acquires the mutex if free, returning (acquired, ownerFailed).
 func (mu *Mutex) TryLock(t *Thread) (acquired, ownerFailed bool) {
 	t.enter()
+	defer t.st.Leave()
 	if mu.owner != nil {
 		return false, false
 	}
@@ -73,6 +75,7 @@ func (mu *Mutex) acquire(t *Thread) {
 // commits flushes).
 func (mu *Mutex) Unlock(t *Thread) {
 	t.enter()
+	defer t.st.Leave()
 	if mu.owner != t {
 		t.ck.reportBugHere(BugAssertion, "unlock of mutex "+mu.name+" by non-owner")
 		return

@@ -22,18 +22,41 @@ type Thread struct {
 	tb   *memmodel.ThreadBuf
 }
 
-// enter marks an instruction boundary: the thread yields to the scheduler
-// and resumes when granted again. Every simulated instruction starts
-// here. A thread the watchdog abandoned unwinds inside Pause instead of
-// yielding.
-func (t *Thread) enter() { t.st.Pause() }
+// enter marks an instruction boundary: every simulated instruction
+// starts here, and its method defers t.st.Leave, which returns the
+// thread to program code, where the watchdog may abandon it. The thread
+// runs the scheduler steps due at the boundary itself; if they pick it
+// again it goes on without a goroutine switch, otherwise it leaves the
+// pick for the checker goroutine and yields until granted again. A killed thread (a
+// deferred call while its kill unwinds) schedules nothing and unwinds
+// again; a thread the watchdog abandoned unwinds without touching any
+// checker state.
+func (t *Thread) enter() {
+	st := t.st
+	st.Enter()
+	if st.State() == sched.Runnable {
+		ck := t.ck
+		ck.current = nil
+		ck.scheduling = true
+		next := ck.nextStep()
+		ck.scheduling = false
+		if next == t {
+			ck.current = t
+			return
+		}
+		ck.pending, ck.handoff = next, true
+	}
+	st.Pause()
+}
 
-// guard unwinds a watchdog-abandoned thread before it can touch shared
-// checker state. It backs the few Thread methods that deliberately do
-// not yield (Assert, Fail, Alloc) — everything else is covered by the
-// same check inside enter/Pause.
+// guard enters checker code without an instruction boundary, for the
+// Thread methods that deliberately do not yield (Assert, Fail, Alloc);
+// the caller defers t.st.Leave. Like enter, it unwinds an abandoned
+// thread, and a killed one: a failed machine's thread reports and
+// allocates nothing.
 func (t *Thread) guard() {
-	if t.st.Wedged() {
+	t.st.Enter()
+	if t.st.State() == sched.Killed {
 		t.st.KillSelf()
 	}
 }
@@ -45,33 +68,66 @@ func (t *Thread) Name() string { return t.name }
 func (t *Thread) Machine() *Machine { return t.mach }
 
 // Load8 loads one byte.
-func (t *Thread) Load8(a Addr) uint8 { t.enter(); return uint8(t.ck.load(t, a, 1)) }
+func (t *Thread) Load8(a Addr) uint8 {
+	t.enter()
+	defer t.st.Leave()
+	return uint8(t.ck.load(t, a, 1))
+}
 
 // Load16 loads a 16-bit little-endian value.
-func (t *Thread) Load16(a Addr) uint16 { t.enter(); return uint16(t.ck.load(t, a, 2)) }
+func (t *Thread) Load16(a Addr) uint16 {
+	t.enter()
+	defer t.st.Leave()
+	return uint16(t.ck.load(t, a, 2))
+}
 
 // Load32 loads a 32-bit little-endian value.
-func (t *Thread) Load32(a Addr) uint32 { t.enter(); return uint32(t.ck.load(t, a, 4)) }
+func (t *Thread) Load32(a Addr) uint32 {
+	t.enter()
+	defer t.st.Leave()
+	return uint32(t.ck.load(t, a, 4))
+}
 
 // Load64 loads a 64-bit little-endian value.
-func (t *Thread) Load64(a Addr) uint64 { t.enter(); return t.ck.load(t, a, 8) }
+func (t *Thread) Load64(a Addr) uint64 {
+	t.enter()
+	defer t.st.Leave()
+	return t.ck.load(t, a, 8)
+}
 
 // Store8 stores one byte (buffered per TSO).
-func (t *Thread) Store8(a Addr, v uint8) { t.enter(); t.ck.store(t, a, 1, uint64(v)) }
+func (t *Thread) Store8(a Addr, v uint8) {
+	t.enter()
+	defer t.st.Leave()
+	t.ck.store(t, a, 1, uint64(v))
+}
 
 // Store16 stores a 16-bit value (buffered per TSO).
-func (t *Thread) Store16(a Addr, v uint16) { t.enter(); t.ck.store(t, a, 2, uint64(v)) }
+func (t *Thread) Store16(a Addr, v uint16) {
+	t.enter()
+	defer t.st.Leave()
+	t.ck.store(t, a, 2, uint64(v))
+}
 
 // Store32 stores a 32-bit value (buffered per TSO).
-func (t *Thread) Store32(a Addr, v uint32) { t.enter(); t.ck.store(t, a, 4, uint64(v)) }
+func (t *Thread) Store32(a Addr, v uint32) {
+	t.enter()
+	defer t.st.Leave()
+	t.ck.store(t, a, 4, uint64(v))
+}
 
 // Store64 stores a 64-bit value (buffered per TSO).
-func (t *Thread) Store64(a Addr, v uint64) { t.enter(); t.ck.store(t, a, 8, v) }
+func (t *Thread) Store64(a Addr, v uint64) {
+	t.enter()
+	defer t.st.Leave()
+	t.ck.store(t, a, 8, v)
+}
 
 // CLFlush executes clflush on the cache line containing a: strongly
 // ordered, writes the line back to the CXL device.
 func (t *Thread) CLFlush(a Addr) {
 	t.enter()
+	defer t.st.Leave()
 	t.ck.checkRange(a, 1)
 	t.tb.ExecClflush(a)
 	if t.ck.observing {
@@ -84,6 +140,7 @@ func (t *Thread) CLFlush(a Addr) {
 // SFence to serialize).
 func (t *Thread) CLFlushOpt(a Addr) {
 	t.enter()
+	defer t.st.Leave()
 	t.ck.checkRange(a, 1)
 	t.tb.ExecClflushopt(a, t.ck.mem.Seq())
 	if t.ck.observing {
@@ -100,6 +157,7 @@ func (t *Thread) CLWB(a Addr) { t.CLFlushOpt(a) }
 // later ones.
 func (t *Thread) SFence() {
 	t.enter()
+	defer t.st.Leave()
 	t.tb.ExecSfence()
 	if t.ck.observing {
 		t.ck.observe(t, OpEvent{Kind: OpSFence})
@@ -110,6 +168,7 @@ func (t *Thread) SFence() {
 // take effect immediately.
 func (t *Thread) MFence() {
 	t.enter()
+	defer t.st.Leave()
 	t.ck.execMFence(t)
 }
 
@@ -118,6 +177,7 @@ func (t *Thread) MFence() {
 // RMW instructions it has full fence semantics (§4.4).
 func (t *Thread) CAS64(a Addr, old, new uint64) (prev uint64, swapped bool) {
 	t.enter()
+	defer t.st.Leave()
 	prev = t.ck.rmw(t, a, 8, func(cur uint64) (uint64, bool) { return new, cur == old })
 	return prev, prev == old
 }
@@ -125,6 +185,7 @@ func (t *Thread) CAS64(a Addr, old, new uint64) (prev uint64, swapped bool) {
 // CAS32 executes a locked compare-and-swap on a 32-bit value.
 func (t *Thread) CAS32(a Addr, old, new uint32) (prev uint32, swapped bool) {
 	t.enter()
+	defer t.st.Leave()
 	p := t.ck.rmw(t, a, 4, func(cur uint64) (uint64, bool) { return uint64(new), uint32(cur) == old })
 	return uint32(p), uint32(p) == old
 }
@@ -132,6 +193,7 @@ func (t *Thread) CAS32(a Addr, old, new uint32) (prev uint32, swapped bool) {
 // Swap64 executes a locked exchange on a 64-bit value.
 func (t *Thread) Swap64(a Addr, v uint64) (prev uint64) {
 	t.enter()
+	defer t.st.Leave()
 	return t.ck.rmw(t, a, 8, func(uint64) (uint64, bool) { return v, true })
 }
 
@@ -139,12 +201,14 @@ func (t *Thread) Swap64(a Addr, v uint64) (prev uint64) {
 // the previous value.
 func (t *Thread) FetchAdd64(a Addr, delta uint64) (prev uint64) {
 	t.enter()
+	defer t.st.Leave()
 	return t.ck.rmw(t, a, 8, func(cur uint64) (uint64, bool) { return cur + delta, true })
 }
 
 // FetchAdd32 executes a locked fetch-and-add on a 32-bit value.
 func (t *Thread) FetchAdd32(a Addr, delta uint32) (prev uint32) {
 	t.enter()
+	defer t.st.Leave()
 	return uint32(t.ck.rmw(t, a, 4, func(cur uint64) (uint64, bool) {
 		return uint64(uint32(cur) + delta), true
 	}))
@@ -155,10 +219,18 @@ func (t *Thread) FetchAdd32(a Addr, delta uint32) (prev uint32) {
 // metadata; its crash consistency is not part of the checked program
 // (benchmarks that check allocator recovery, like CXL-SHM, keep their
 // metadata in simulated memory explicitly).
-func (t *Thread) Alloc(size uint64) Addr { t.guard(); return t.ck.alloc(size, 8) }
+func (t *Thread) Alloc(size uint64) Addr {
+	t.guard()
+	defer t.st.Leave()
+	return t.ck.alloc(size, 8)
+}
 
 // AllocAligned is Alloc with explicit power-of-two alignment.
-func (t *Thread) AllocAligned(size, align uint64) Addr { t.guard(); return t.ck.alloc(size, align) }
+func (t *Thread) AllocAligned(size, align uint64) Addr {
+	t.guard()
+	defer t.st.Leave()
+	return t.ck.alloc(size, align)
+}
 
 // Assert reports a bug and halts the execution when cond is false — the
 // analogue of an assert() in an instrumented C program.
@@ -167,12 +239,14 @@ func (t *Thread) Assert(cond bool, format string, args ...any) {
 		return
 	}
 	t.guard()
+	defer t.st.Leave()
 	t.ck.reportBugHere(BugAssertion, fmt.Sprintf(format, args...))
 }
 
 // Fail reports a bug unconditionally and halts the execution.
 func (t *Thread) Fail(format string, args ...any) {
 	t.guard()
+	defer t.st.Leave()
 	t.ck.reportBugHere(BugAssertion, fmt.Sprintf(format, args...))
 }
 
@@ -182,6 +256,7 @@ func (t *Thread) Fail(format string, args ...any) {
 // recovery; it is checker-level coordination, not a shared-memory access.
 func (t *Thread) Join(m *Machine) (failedMachine bool) {
 	t.enter()
+	defer t.st.Leave()
 	for {
 		if m.failed {
 			t.raceJoinMachine(m)
@@ -216,6 +291,7 @@ func (t *Thread) raceJoinMachine(m *Machine) {
 // Joins would deadlock, thread-level joins form no cycle.
 func (t *Thread) JoinThreads(targets ...*Thread) {
 	t.enter()
+	defer t.st.Leave()
 	for {
 		pending := false
 		for _, tgt := range targets {
@@ -246,4 +322,4 @@ func (t *Thread) JoinThreads(targets ...*Thread) {
 }
 
 // Yield cedes the processor without simulating an instruction.
-func (t *Thread) Yield() { t.enter() }
+func (t *Thread) Yield() { t.enter(); t.st.Leave() }

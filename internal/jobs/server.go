@@ -150,6 +150,11 @@ type job struct {
 
 	stop     chan struct{}
 	stopOnce sync.Once
+	// journaled is closed once the submit record is appended; a worker
+	// waits for it before journaling "running", so the journal never
+	// holds the running record before the queued one (recovery merges
+	// records last-writer-wins). nil for jobs recovered from the journal.
+	journaled chan struct{}
 
 	mu        sync.Mutex
 	state     State
@@ -487,7 +492,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j := &job{
 		id: id, tenant: spec.Tenant, spec: spec,
 		state: StateQueued, submitted: time.Now().UTC(),
-		stop: make(chan struct{}),
+		stop: make(chan struct{}), journaled: make(chan struct{}),
 	}
 	if !s.q.push(j) {
 		s.nextID-- // id never escaped; reuse it
@@ -502,6 +507,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 
 	s.journal(record{ID: id, Tenant: j.tenant, State: StateQueued, Spec: &spec, Time: j.submitted})
+	close(j.journaled)
 	s.m.queued.Inc()
 	s.m.queueDepth.Set(int64(s.q.len()))
 	s.trace(obs.EvJobSubmit, id)
@@ -670,33 +676,41 @@ func (s *Server) worker() {
 }
 
 // finishJob moves a job to a terminal state: journal first, then drop
-// the now-useless checkpoint, then count and publish. The ordering means
-// a crash can only ever leave extra work (a re-run from a complete
-// checkpoint, which returns the identical result), never a lost job.
+// the now-useless checkpoint, then count, and only then make the state
+// visible and publish it. The ordering means a crash can only ever leave
+// extra work (a re-run from a complete checkpoint, which returns the
+// identical result), never a lost job, and a client that sees the
+// terminal state finds it journaled and counted.
 func (s *Server) finishJob(j *job, state State, res *cxlmc.Result, errMsg string) {
+	finished := time.Now().UTC()
+	j.mu.Lock()
+	retries := j.retries
+	j.mu.Unlock()
+	crashed := s.crashed.Load()
+	if !crashed {
+		s.journal(record{ID: j.id, Tenant: j.tenant, State: state, Retries: retries, Error: errMsg, Result: res, Time: finished})
+		s.st.removeCheckpoint(j.id)
+		switch state {
+		case StateDone:
+			s.m.done.Inc()
+			s.trace(obs.EvJobDone, j.id)
+		case StateFailed:
+			s.m.failed.Inc()
+			s.trace(obs.EvJobFail, j.id)
+		case StateCancelled:
+			s.m.cancelled.Inc()
+			s.trace(obs.EvJobCancel, j.id)
+		}
+	}
+
 	j.mu.Lock()
 	j.state = state
 	j.result = res
 	j.errMsg = errMsg
-	j.finished = time.Now().UTC()
-	retries := j.retries
+	j.finished = finished
 	j.mu.Unlock()
-
-	if s.crashed.Load() {
+	if crashed {
 		return
-	}
-	s.journal(record{ID: j.id, Tenant: j.tenant, State: state, Retries: retries, Error: errMsg, Result: res, Time: j.finished})
-	s.st.removeCheckpoint(j.id)
-	switch state {
-	case StateDone:
-		s.m.done.Inc()
-		s.trace(obs.EvJobDone, j.id)
-	case StateFailed:
-		s.m.failed.Inc()
-		s.trace(obs.EvJobFail, j.id)
-	case StateCancelled:
-		s.m.cancelled.Inc()
-		s.trace(obs.EvJobCancel, j.id)
 	}
 	s.logf("jobs: %s %s%s", j.id, state, errSuffix(errMsg))
 	s.publishState(j)
@@ -773,6 +787,9 @@ func (s *Server) runJob(j *job) {
 	// Chaos in the pool: a seeded stall before the claim turns into work,
 	// shaking out ordering assumptions between claim, cancel and drain.
 	s.cfg.Chaos.Stall()
+	if j.journaled != nil {
+		<-j.journaled
+	}
 
 	j.mu.Lock()
 	if j.cancelled {

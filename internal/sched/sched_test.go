@@ -2,6 +2,7 @@ package sched
 
 import (
 	"testing"
+	"time"
 )
 
 func TestLockStepExecution(t *testing.T) {
@@ -201,5 +202,66 @@ func TestStateString(t *testing.T) {
 		if st.String() != want {
 			t.Errorf("State(%d) = %q, want %q", st, st.String(), want)
 		}
+	}
+}
+
+// TestWatchdogSparesCheckerCode: the watchdog never abandons a thread
+// inside checker code, however long it stays there, nor one whose gate
+// keeps moving; it abandons a thread stuck in program code, and the
+// abandoned goroutine later unwinds at Enter without yielding.
+func TestWatchdogSparesCheckerCode(t *testing.T) {
+	s := New()
+	unblock := make(chan struct{})
+	exited := make(chan bool, 1)
+	const window = 10 * time.Millisecond
+	a := s.NewThread(0, "a", func(th *Thread) {
+		defer func() { exited <- true }()
+		th.Enter()
+		time.Sleep(6 * window) // slow checker code: no progress, not abandonable
+		th.Pause()
+		for start := time.Now(); time.Since(start) < 6*window; {
+			th.Leave() // busy program code: the gate keeps moving
+			th.Enter()
+		}
+		th.Pause()
+		th.Leave()
+		<-unblock // stuck in program code
+		th.Enter()
+		t.Error("an abandoned thread got past Enter")
+	})
+	if !s.GrantWatch(a, window, time.Time{}) {
+		t.Fatal("abandoned a thread in checker code")
+	}
+	if !s.GrantWatch(a, window, time.Time{}) {
+		t.Fatal("abandoned a busy thread")
+	}
+	if s.GrantWatch(a, window, time.Time{}) {
+		t.Fatal("a thread stuck in program code yielded?")
+	}
+	if !a.Wedged() {
+		t.Fatal("abandoned thread not marked wedged")
+	}
+	s.Teardown() // skips the wedged thread
+	close(unblock)
+	<-exited
+}
+
+// TestWatchdogDeadline: once the deadline has passed, a thread in
+// program code is abandoned whether or not it made progress.
+func TestWatchdogDeadline(t *testing.T) {
+	s := New()
+	unblock := make(chan struct{})
+	defer close(unblock)
+	a := s.NewThread(0, "a", func(th *Thread) {
+		th.Enter()
+		th.Leave()
+		<-unblock
+	})
+	start := time.Now()
+	if s.GrantWatch(a, 0, start.Add(20*time.Millisecond)) {
+		t.Fatal("the deadline did not abandon the thread")
+	}
+	if took := time.Since(start); took < 20*time.Millisecond {
+		t.Fatalf("abandoned after %v, before the deadline", took)
 	}
 }
